@@ -31,11 +31,11 @@ echo "== model check (bounded-preemption interleaving exploration) =="
 # Algorithm 2 fallback sweep, dedup window) ...
 cargo test -q --offline -p fairmpi-check 2>&1 | tee /tmp/fairmpi_check.log
 ! grep -q "FAILED" /tmp/fairmpi_check.log
-# ... and the checker must have teeth: all four seeded mutant bugs caught
+# ... and the checker must have teeth: all five seeded mutant bugs caught
 # with reproducible counterexample schedules.
 cargo test --offline -p fairmpi-check --test mutants all_seeded_mutants_caught -- --nocapture \
     > /tmp/fairmpi_mutants.log 2>&1
-grep -q "all 4 seeded mutants caught" /tmp/fairmpi_mutants.log
+grep -q "all 5 seeded mutants caught" /tmp/fairmpi_mutants.log
 
 echo "== fmt =="
 cargo fmt --all --check

@@ -18,7 +18,9 @@
 //! * a miniature of the paper's Algorithm 2 progress loop
 //!   (dedicated-instance drain with round-robin fallback sweep),
 //! * the real [`fairmpi::DedupWindow`] receiver-side duplicate
-//!   suppression under racing deliveries.
+//!   suppression under racing deliveries,
+//! * the real [`fairmpi::RequestSlab`] generation rule: a stale completion
+//!   racing a reap-and-reallocate, and two racing reapers of one token.
 //!
 //! The [`mutants`] module carries deliberately-broken variants of each
 //! algorithm; the test suite asserts the checker produces a reproducible

@@ -8,7 +8,7 @@
 //! evidence that the checker would catch the corresponding real
 //! regression. **Nothing in this module is used by the runtime.**
 //!
-//! The four seeded bugs:
+//! The five seeded bugs:
 //!
 //! 1. [`RingBug::PublishBeforeWrite`] — the MPSC ring publishes a slot's
 //!    sequence number before storing the value, so a concurrent consumer
@@ -23,6 +23,10 @@
 //! 4. [`RacyDedup`] — receiver-side duplicate suppression as a
 //!    check-then-insert across two lock acquisitions, so two racing
 //!    deliveries of the same `tseq` are both accepted.
+//! 5. [`SlabBug::ReapWithoutBump`] — the request slab returns a reaped slot
+//!    to the free list without bumping its generation, so the next
+//!    occupant gets the old token back and a late completion of the old
+//!    request completes the new one.
 
 use fairmpi_sync::atomic::{AtomicU64, Ordering};
 use fairmpi_sync::Mutex;
@@ -266,5 +270,109 @@ impl RacyDedup {
 impl Default for RacyDedup {
     fn default() -> Self {
         Self::new()
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Generation-checked request slab (mirrors fairmpi::RequestSlab)
+// ---------------------------------------------------------------------------
+
+/// Which bug, if any, to seed into [`MiniSlab`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SlabBug {
+    /// Correct protocol: reaping bumps the slot's generation.
+    None,
+    /// Reap without bumping the generation.
+    ReapWithoutBump,
+}
+
+const SLOT_FREE: u64 = 0;
+const SLOT_PENDING: u64 = 1;
+const SLOT_COMPLETE: u64 = 2;
+
+/// Miniature of the request slab's state-word protocol: each slot's state
+/// packs `(generation << 32) | status`, a token packs
+/// `(generation << 32) | index`, completion is a compare-exchange from the
+/// token's `(generation, PENDING)`, and reaping moves a finished slot to
+/// `(generation + 1, FREE)` before returning it to a LIFO free list. The
+/// request bodies are left out: the seeded bug lives in the generation
+/// rule, not in what a slot carries.
+pub struct MiniSlab {
+    bug: SlabBug,
+    states: Vec<AtomicU64>,
+    free: Mutex<Vec<u64>>,
+}
+
+impl MiniSlab {
+    /// A slab of `slots` free slots; `bug` seeds the mutant.
+    pub fn new(slots: usize, bug: SlabBug) -> Self {
+        Self {
+            bug,
+            states: (0..slots).map(|_| AtomicU64::new(SLOT_FREE)).collect(),
+            free: Mutex::new((0..slots as u64).rev().collect()),
+        }
+    }
+
+    fn split(token: u64) -> (usize, u64) {
+        ((token & 0xffff_ffff) as usize, token >> 32)
+    }
+
+    /// Allocate a pending request and return its token.
+    pub fn alloc(&self) -> u64 {
+        let index = self.free.lock().pop().expect("a free slot");
+        let generation = self.states[index as usize].load(Ordering::SeqCst) >> 32;
+        self.states[index as usize].store(generation << 32 | SLOT_PENDING, Ordering::SeqCst);
+        generation << 32 | index
+    }
+
+    /// Complete the request `token` names, if it is still pending.
+    pub fn complete(&self, token: u64) -> bool {
+        let (index, generation) = Self::split(token);
+        self.states[index]
+            .compare_exchange(
+                generation << 32 | SLOT_PENDING,
+                generation << 32 | SLOT_COMPLETE,
+                Ordering::SeqCst,
+                Ordering::SeqCst,
+            )
+            .is_ok()
+    }
+
+    /// Whether `token` names a request that is still pending.
+    pub fn is_pending(&self, token: u64) -> bool {
+        let (index, generation) = Self::split(token);
+        self.states[index].load(Ordering::SeqCst) == generation << 32 | SLOT_PENDING
+    }
+
+    /// `None` while pending, `Some(true)` when this call reaped the
+    /// request, `Some(false)` for a stale token.
+    pub fn try_reap(&self, token: u64) -> Option<bool> {
+        let (index, generation) = Self::split(token);
+        let state = self.states[index].load(Ordering::SeqCst);
+        if state >> 32 != generation || state & 0xffff_ffff == SLOT_FREE {
+            return Some(false);
+        }
+        if state & 0xffff_ffff == SLOT_PENDING {
+            return None;
+        }
+        let next = match self.bug {
+            SlabBug::None => generation + 1,
+            // Seeded bug: the slot's next occupant reuses this generation,
+            // so it is named by the very token just reaped.
+            SlabBug::ReapWithoutBump => generation,
+        };
+        if self.states[index]
+            .compare_exchange(
+                state,
+                next << 32 | SLOT_FREE,
+                Ordering::SeqCst,
+                Ordering::SeqCst,
+            )
+            .is_err()
+        {
+            return Some(false);
+        }
+        self.free.lock().push(index as u64);
+        Some(true)
     }
 }

@@ -1,9 +1,9 @@
-//! The checker's own regression suite: four deliberately seeded
+//! The checker's own regression suite: five deliberately seeded
 //! concurrency bugs (see `fairmpi_check::mutants`), each of which the
 //! checker must catch with a reproducible counterexample. A checker that
 //! passes correct code proves nothing unless it also fails broken code.
 
-use fairmpi_check::mutants::{MiniPool, ModelRing, Pop, RacyDedup, RingBug};
+use fairmpi_check::mutants::{MiniPool, MiniSlab, ModelRing, Pop, RacyDedup, RingBug, SlabBug};
 use fairmpi_check::{assert_reproducible_failure, spawn, yield_now, Checker, Counterexample};
 use fairmpi_sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -114,6 +114,36 @@ fn dedup_check_then_insert() {
     );
 }
 
+/// A late completion of a reaped request races the reap and the
+/// reallocation of its slot (the shape of `fairmpi-check`'s real-slab
+/// test). Shared by the mutant and the correct-protocol check.
+fn stale_completion_after_reuse(bug: SlabBug) {
+    let slab = Arc::new(MiniSlab::new(1, bug));
+    let old = slab.alloc();
+    let late = {
+        let slab = Arc::clone(&slab);
+        spawn(move || {
+            slab.complete(old);
+        })
+    };
+    slab.complete(old);
+    assert_eq!(
+        slab.try_reap(old),
+        Some(true),
+        "the finished request is reaped"
+    );
+    let new = slab.alloc();
+    late.join();
+    assert!(
+        slab.is_pending(new),
+        "the slot's new occupant was completed by a stale token"
+    );
+}
+
+fn slab_reap_without_bump() {
+    stale_completion_after_reuse(SlabBug::ReapWithoutBump);
+}
+
 // --- catchers: explore, then replay the counterexample verbatim ---
 
 fn catch(what: &str, scenario: fn()) -> Counterexample {
@@ -147,21 +177,36 @@ fn mutant_dedup_check_then_insert_caught() {
     catch("dedup check-then-insert", dedup_check_then_insert);
 }
 
+#[test]
+fn mutant_slab_reap_without_bump_caught() {
+    catch("slab reap-without-bump", slab_reap_without_bump);
+}
+
 /// The gate ci.sh greps for: every seeded mutant produced a reproducible
 /// counterexample.
 #[test]
 fn all_seeded_mutants_caught() {
-    let mutants: [(&str, fn()); 4] = [
+    let mutants: [(&str, fn()); 5] = [
         ("ring publish-before-write", ring_publish_before_write),
         ("ring ticket-without-CAS", ring_ticket_without_cas),
         ("progress lost-wakeup", progress_lost_wakeup),
         ("dedup check-then-insert", dedup_check_then_insert),
+        ("slab reap-without-bump", slab_reap_without_bump),
     ];
     for (what, scenario) in mutants {
         let ce = catch(what, scenario);
         assert!(!ce.schedule.is_empty(), "counterexample has a schedule");
     }
-    println!("all 4 seeded mutants caught");
+    println!("all {} seeded mutants caught", mutants.len());
+}
+
+/// The miniature slab with the generation bump passes the scenario its
+/// mutant fails.
+#[test]
+fn miniature_slab_correct_protocol_passes() {
+    Checker::new()
+        .check(|| stale_completion_after_reuse(SlabBug::None))
+        .assert_pass("miniature slab, correct protocol");
 }
 
 /// The miniature ring with no seeded bug upholds the same properties the

@@ -1,6 +1,7 @@
 //! The runtime's progress callbacks: what happens to extracted packets and
 //! completion events.
 
+use std::cell::Cell;
 use std::time::Instant;
 
 use fairmpi_fabric::{Completion, CompletionKind, Envelope, Packet, PacketKind, Rank};
@@ -13,8 +14,15 @@ use crate::design::ErrorHandler;
 use crate::error::MpiError;
 use crate::proc::ProcState;
 use crate::reliability::PendingFrame;
-use crate::request::Message;
+use crate::request::{Delivery, Message};
 use crate::rma::WindowId;
+
+thread_local! {
+    /// Reused per-thread buffer for the events one delivered packet
+    /// produces (usually exactly one), so the progress path does not heap
+    /// allocate per packet.
+    static MATCH_EVENTS: Cell<Vec<MatchEvent>> = const { Cell::new(Vec::new()) };
+}
 
 impl ProcState {
     /// Inject a packet on an instance chosen by the configured assignment.
@@ -111,11 +119,8 @@ impl ProcState {
             PacketKind::RendezvousCts { receiver_token, .. } => receiver_token,
             _ => frame.cq_token,
         };
-        if token == 0 {
-            return;
-        }
-        if let Some(req) = self.requests.get(token) {
-            req.fail(err);
+        if token != 0 {
+            self.requests.fail(token, err);
         }
     }
 
@@ -133,14 +138,7 @@ impl ProcState {
             PacketKind::RendezvousRts { .. } | PacketKind::RendezvousCts { .. } => 0,
             _ => frame.cq_token,
         };
-        if token == 0 {
-            return 0;
-        }
-        let Some(req) = self.requests.get(token) else {
-            return 0;
-        };
-        req.complete_send();
-        1
+        usize::from(token != 0 && self.requests.complete_send(token))
     }
 
     /// Acknowledge receipt of transport sequence `tseq` back to `src`.
@@ -168,16 +166,19 @@ impl ProcState {
     /// matching engine and complete whatever it produced.
     fn handle_matchable(&self, packet: Packet) -> usize {
         let comm = packet.envelope.comm;
-        let mut events = Vec::new();
-        let delivered = self.with_matcher(comm, |m| m.deliver(packet, &mut events));
-        if delivered.is_err() {
+        let Ok(cs) = self.comm_state(comm) else {
             debug_assert!(false, "packet for unknown communicator {comm}");
             return 0;
-        }
+        };
+        // Taken out of the cell (not borrowed) so a re-entrant delivery on
+        // this thread would simply start a fresh buffer.
+        let mut events = MATCH_EVENTS.take();
+        self.with_matcher(cs, |m| m.deliver(packet, &mut events));
         let mut count = 0;
-        for ev in events {
+        for ev in events.drain(..) {
             count += self.complete_match(ev);
         }
+        MATCH_EVENTS.set(events);
         count
     }
 
@@ -186,25 +187,11 @@ impl ProcState {
         let env = ev.packet.envelope;
         match ev.packet.kind {
             PacketKind::Eager => {
-                let Some(req) = self.requests.get(ev.token) else {
-                    debug_assert!(false, "matched token {} has no request", ev.token);
-                    return 0;
-                };
-                if ev.packet.payload.len() > req.capacity {
-                    req.fail(MpiError::Truncated {
-                        message_len: ev.packet.payload.len(),
-                        capacity: req.capacity,
-                    });
-                    return 1;
-                }
-                self.spc
-                    .add(Counter::BytesReceived, ev.packet.payload.len() as u64);
-                req.complete_with(Message {
-                    data: ev.packet.payload,
-                    src: env.src,
-                    tag: env.tag,
-                });
-                1
+                // A posted receive leaves the matcher only by matching or by
+                // cancellation, so the matched token is always pending.
+                let completed = self.deliver_recv(ev.token, ev.packet);
+                debug_assert!(completed == 1, "matched token {} is stale", ev.token);
+                completed
             }
             PacketKind::RendezvousRts { sender_token, .. } => {
                 // Grant the transfer: CTS back to the sender, echoing the
@@ -235,13 +222,33 @@ impl ProcState {
         }
     }
 
-    /// Sender side: a CTS arrived, ship the stashed payload.
+    /// Complete receive `token` with the payload of `packet` (eager or
+    /// rendezvous DATA). Returns the number of user-visible completions: 1
+    /// for a delivery or a truncation failure, 0 for a stale token — the
+    /// receive already failed locally and was reaped.
+    fn deliver_recv(&self, token: u64, packet: Packet) -> usize {
+        let len = packet.payload.len() as u64;
+        let msg = Message {
+            data: packet.payload,
+            src: packet.envelope.src,
+            tag: packet.envelope.tag,
+        };
+        match self.requests.deliver(token, msg) {
+            Delivery::Completed => {
+                self.spc.add(Counter::BytesReceived, len);
+                1
+            }
+            Delivery::Truncated => 1,
+            Delivery::Stale => 0,
+        }
+    }
+
+    /// Sender side: a CTS arrived, ship the stashed payload. A stale token
+    /// (the send already failed locally) ships nothing.
     fn handle_cts(&self, sender_token: u64, receiver_token: u64, env: Envelope) -> usize {
-        let Some(req) = self.requests.get(sender_token) else {
-            debug_assert!(false, "CTS for unknown send request {sender_token}");
+        let Some(payload) = self.requests.take_stash(sender_token) else {
             return 0;
         };
-        let payload = req.stash.lock().take().unwrap_or_default();
         let data = Packet::with_kind(
             Envelope {
                 src: self.rank,
@@ -257,30 +264,6 @@ impl ProcState {
         // draining it completes the user's send request.
         self.send_packet(data, sender_token);
         0
-    }
-
-    /// Receiver side: the rendezvous bulk data arrived.
-    fn handle_rendezvous_data(&self, receiver_token: u64, packet: Packet) -> usize {
-        let Some(req) = self.requests.get(receiver_token) else {
-            debug_assert!(false, "DATA for unknown recv request {receiver_token}");
-            return 0;
-        };
-        if packet.payload.len() > req.capacity {
-            req.fail(MpiError::Truncated {
-                message_len: packet.payload.len(),
-                capacity: req.capacity,
-            });
-            return 1;
-        }
-        self.spc
-            .add(Counter::BytesReceived, packet.payload.len() as u64);
-        self.spc.inc(Counter::MessagesReceived);
-        req.complete_with(Message {
-            data: packet.payload,
-            src: packet.envelope.src,
-            tag: packet.envelope.tag,
-        });
-        1
     }
 }
 
@@ -309,8 +292,10 @@ impl ProgressHandler for ProcState {
                 sender_token,
                 receiver_token,
             } => self.handle_cts(sender_token, receiver_token, packet.envelope),
+            // Receiver side: the rendezvous bulk data arrived. The message
+            // was already counted received when its RTS matched.
             PacketKind::RendezvousData { receiver_token } => {
-                self.handle_rendezvous_data(receiver_token, packet)
+                self.deliver_recv(receiver_token, packet)
             }
             // Without a fault plan nothing emits acks; with one they were
             // intercepted above.
@@ -321,16 +306,10 @@ impl ProgressHandler for ProcState {
     fn on_completion(&self, completion: Completion) -> usize {
         match completion.kind {
             CompletionKind::SendDone => {
-                // Token 0 marks control packets with no request behind them.
-                if completion.token == 0 {
-                    return 0;
-                }
-                let Some(req) = self.requests.get(completion.token) else {
-                    // The request may already have been reaped by `wait`.
-                    return 0;
-                };
-                req.complete_send();
-                1
+                // Token 0 marks control packets with no request behind them;
+                // a stale token (the request already failed and was reaped)
+                // is ignored by the slab.
+                usize::from(completion.token != 0 && self.requests.complete_send(completion.token))
             }
             CompletionKind::RmaDone => {
                 let window = WindowId((completion.token >> 32) as u32);

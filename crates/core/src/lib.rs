@@ -58,6 +58,7 @@ mod proc;
 mod reliability;
 mod request;
 mod rma;
+mod segments;
 pub mod tuning;
 mod world;
 
@@ -73,7 +74,7 @@ pub use design::{
 pub use error::{MpiError, Result};
 pub use proc::Proc;
 pub use reliability::DedupWindow;
-pub use request::{Message, Request};
+pub use request::{Delivery, Message, Request, RequestSlab};
 pub use rma::{AccumulateOp, EpochGuard, Window, WindowId};
 pub use world::{World, WorldBuilder};
 

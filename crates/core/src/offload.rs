@@ -144,18 +144,16 @@ impl ProcBackend {
     fn post_now(&self, posted: PostedRecv) {
         let st = &self.state;
         let token = posted.token;
-        let comm = posted.comm;
-        match st.with_matcher(comm, |m| m.post_recv(posted)) {
-            Ok((outcome, _work)) => {
-                if let PostOutcome::Matched(packet) = outcome {
-                    st.complete_match(MatchEvent { token, packet });
-                }
-            }
+        let cs = match st.comm_state(posted.comm) {
+            Ok(cs) => cs,
             Err(e) => {
-                if let Some(req) = st.requests.get(token) {
-                    req.fail(e);
-                }
+                st.requests.fail(token, e);
+                return;
             }
+        };
+        let (outcome, _work) = st.with_matcher(cs, |m| m.post_recv(posted));
+        if let PostOutcome::Matched(packet) = outcome {
+            st.complete_match(MatchEvent { token, packet });
         }
     }
 
@@ -191,9 +189,7 @@ impl ProcBackend {
     }
 
     fn complete_flush(&self, token: u64) {
-        if let Some(req) = self.state.requests.get(token) {
-            req.complete_send();
-        }
+        self.state.requests.complete_send(token);
         self.state.spc.inc(Counter::RmaFlushes);
     }
 }
@@ -251,11 +247,7 @@ impl OffloadBackend for ProcBackend {
     }
 
     fn is_complete(&self, token: u64) -> bool {
-        self.state
-            .requests
-            .get(token)
-            .map(|r| r.is_done())
-            .unwrap_or(true)
+        self.state.requests.is_done(token)
     }
 }
 

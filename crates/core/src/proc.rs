@@ -1,7 +1,6 @@
 //! Per-rank runtime state and the public `Proc` handle.
 
-use fairmpi_sync::{Mutex, MutexGuard, RwLock};
-use std::collections::HashMap;
+use fairmpi_sync::{Mutex, MutexGuard};
 use std::sync::{Arc, OnceLock};
 
 use fairmpi_cri::CriPool;
@@ -15,8 +14,9 @@ use crate::design::{DesignConfig, LockModel, MatchMode};
 use crate::error::{MpiError, Result};
 use crate::offload::OffloadRuntime;
 use crate::reliability::{Reliability, Watchdog};
-use crate::request::RequestTable;
+use crate::request::RequestSlab;
 use crate::rma::{AccumulateOp, Window, WindowId, WindowRegistry, WindowState};
+use crate::segments::{OnceBox, Segments};
 
 /// Handle to one simulated MPI process. Cloneable and `Send + Sync`; any
 /// number of OS threads may drive the same rank concurrently
@@ -101,8 +101,10 @@ pub(crate) struct ProcState {
     pub(crate) pool: Arc<CriPool>,
     pub(crate) engine: ProgressEngine,
     pub(crate) spc: Arc<SpcSet>,
-    pub(crate) requests: RequestTable,
-    pub(crate) comms: RwLock<HashMap<CommId, Arc<CommState>>>,
+    pub(crate) requests: RequestSlab,
+    /// Communicator states indexed by id (ids are dense: `World` hands
+    /// them out from a counter), read without a lock.
+    comms: Segments<OnceBox<CommState>>,
     /// Single process-wide matcher for [`MatchMode::Global`] designs.
     pub(crate) global_matcher: Mutex<Matcher>,
     /// Process-wide critical section for big-lock design emulations.
@@ -147,8 +149,8 @@ impl ProcState {
             pool,
             engine,
             spc: Arc::clone(&spc),
-            requests: RequestTable::new(),
-            comms: RwLock::new(HashMap::new()),
+            requests: RequestSlab::new(rank),
+            comms: Segments::default(),
             global_matcher: Mutex::named(Matcher::new(spc, design.allow_overtaking), move || {
                 format!("matching.global[rank={rank}]")
             }),
@@ -166,15 +168,16 @@ impl ProcState {
     }
 
     /// Register a communicator's per-rank state.
-    pub(crate) fn register_comm(&self, state: Arc<CommState>) {
-        self.comms.write().insert(state.id, state);
+    pub(crate) fn register_comm(&self, state: CommState) {
+        let id = state.id;
+        let fresh = self.comms.get_or_grow(id as usize).set(state);
+        assert!(fresh, "communicator {id} registered twice");
     }
 
-    pub(crate) fn comm_state(&self, id: CommId) -> Result<Arc<CommState>> {
+    pub(crate) fn comm_state(&self, id: CommId) -> Result<&CommState> {
         self.comms
-            .read()
-            .get(&id)
-            .cloned()
+            .get(id as usize)
+            .and_then(OnceBox::get)
             .ok_or(MpiError::InvalidComm(id))
     }
 
@@ -187,28 +190,18 @@ impl ProcState {
         }
     }
 
-    /// Run `f` holding the appropriate matching lock, charging the time to
-    /// the match-time counter (lock acquisition included — contention on
-    /// the matching lock is exactly what Table II's match time exposes).
-    pub(crate) fn with_matcher<R>(
-        &self,
-        comm: CommId,
-        f: impl FnOnce(&mut Matcher) -> R,
-    ) -> Result<R> {
-        let timer = fairmpi_spc::ScopedTimer::new(&self.spc, Counter::MatchTimeNanos);
-        let result = match self.design.matching {
-            MatchMode::Global => {
-                let mut m = self.global_matcher.lock();
-                f(&mut m)
-            }
-            MatchMode::PerCommunicator => {
-                let cs = self.comm_state(comm)?;
-                let mut m = cs.matcher.lock();
-                f(&mut m)
-            }
+    /// Run `f` holding the matching lock that serves `comm` (the caller's
+    /// already-resolved communicator), charging the time to the match-time
+    /// counter (lock acquisition included — contention on the matching
+    /// lock is exactly what Table II's match time exposes).
+    pub(crate) fn with_matcher<R>(&self, comm: &CommState, f: impl FnOnce(&mut Matcher) -> R) -> R {
+        let _timer = fairmpi_spc::ScopedTimer::new(&self.spc, Counter::MatchTimeNanos);
+        let matcher = match self.design.matching {
+            MatchMode::Global => &self.global_matcher,
+            MatchMode::PerCommunicator => &comm.matcher,
         };
-        drop(timer);
-        Ok(result)
+        let mut m = matcher.lock();
+        f(&mut m)
     }
 
     /// The offload runtime, while it still accepts commands. `None` both
@@ -398,15 +391,15 @@ impl ProcState {
             // Ship a flush descriptor: the worker registers it and the
             // engine's progress pass completes the request once the pending
             // count drains (FIFO behind every queued put).
-            let req = self.requests.new_send(self.rank, 0, None);
+            let token = self.requests.alloc_send(self.rank, 0, None);
             let cmd = fairmpi_offload::Command::Flush {
                 window: win.id.0 as u64,
                 target,
-                token: req.token,
+                token,
             };
             if rt.submit(cmd).is_ok() {
                 let mut idle_spins = 0u32;
-                while !req.is_done() {
+                while !self.requests.is_done(token) {
                     if rt.poll_completions() == 0 {
                         idle_spins += 1;
                         if idle_spins > 64 {
@@ -416,11 +409,13 @@ impl ProcState {
                         idle_spins = 0;
                     }
                 }
-                self.requests.remove(req.token);
+                let _ = self.requests.try_reap(token);
                 // The backend counted RmaFlushes at completion.
                 return;
             }
-            self.requests.remove(req.token);
+            // Nobody else saw the token: retire the request unused.
+            self.requests.cancel(token);
+            let _ = self.requests.try_reap(token);
             // Refused: drain inline below (the workers still retire the
             // queued puts; progress_once only yields meanwhile).
         }

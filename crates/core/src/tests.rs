@@ -598,6 +598,39 @@ fn wait_any_returns_the_first_completion() {
     assert!(p1.wait_any(&[]).is_err());
 }
 
+/// Reaped handles are invalid for every reaping call, even after their
+/// slots were reused, and the live-request count returns to zero.
+#[test]
+fn reaped_requests_are_invalid_and_pending_count_is_exact() {
+    let world = World::builder().ranks(1).build();
+    let comm = world.comm_world();
+    let p = world.proc(0);
+    let r = p.irecv(8, 0, 1, comm).unwrap();
+    let s = p.isend(b"x", 0, 1, comm).unwrap();
+    assert_eq!(p.pending_requests(), 2);
+    assert_eq!(p.wait(&r).unwrap().data, b"x");
+    assert!(p.wait(&s).unwrap().data.is_empty());
+    assert_eq!(p.pending_requests(), 0);
+    // The next requests reuse both slots under new generations.
+    let r2 = p.irecv(8, 0, 2, comm).unwrap();
+    let s2 = p.isend(b"y", 0, 2, comm).unwrap();
+    for stale in [&r, &s] {
+        let invalid = Err(MpiError::InvalidRequest(stale.token));
+        assert_eq!(p.wait(stale), invalid);
+        assert_eq!(p.test(stale), invalid.clone().map(Some));
+        assert_eq!(
+            p.wait_any(&[stale.clone(), r2.clone()]),
+            invalid.map(|m| (0, m))
+        );
+        assert_eq!(
+            p.cancel_recv(stale, comm),
+            Err(MpiError::InvalidRequest(stale.token))
+        );
+    }
+    assert_eq!(p.waitall(&[r2, s2]).unwrap()[0].data, b"y");
+    assert_eq!(p.pending_requests(), 0);
+}
+
 #[test]
 fn dedicated_instances_show_no_try_lock_failures_single_thread() {
     let world = two_rank_world(DesignConfig::builder().proposed(2).build().unwrap());

@@ -158,12 +158,12 @@ impl World {
     pub fn new_comm_with(&self, allow_overtaking: bool) -> Communicator {
         let id = self.next_comm.fetch_add(1, Ordering::Relaxed);
         for proc in &self.procs {
-            proc.register_comm(Arc::new(CommState::new(
+            proc.register_comm(CommState::new(
                 id,
                 self.num_ranks(),
                 allow_overtaking,
                 Arc::clone(&proc.spc),
-            )));
+            ));
         }
         Communicator { id }
     }

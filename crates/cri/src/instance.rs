@@ -124,8 +124,12 @@ impl<'a> CriGuard<'a> {
             Watermark::InstancePendingOps,
             self.cri.context.pending_ops(),
         );
+        // One message per send initiation: rendezvous CTS and DATA packets
+        // belong to the message their RTS already counted.
+        if packet.needs_matching() {
+            spc.inc(Counter::MessagesSent);
+        }
         fabric.deliver(packet, self.cri.index);
-        spc.inc(Counter::MessagesSent);
         spc.add(Counter::BytesSent, wire_len as u64);
         // Eager-style local completion: the payload left the user buffer.
         self.cri.context.post_completion(Completion {
@@ -149,7 +153,9 @@ impl<'a> CriGuard<'a> {
                 .max(cfg.serialization_time_ns(packet.payload.len())),
         );
         if first_attempt {
-            spc.inc(Counter::MessagesSent);
+            if packet.needs_matching() {
+                spc.inc(Counter::MessagesSent);
+            }
             spc.add(Counter::BytesSent, wire_len as u64);
         }
         fabric.deliver_observed(packet, self.cri.index, spc);

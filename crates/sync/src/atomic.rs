@@ -236,3 +236,56 @@ impl std::fmt::Debug for AtomicBool {
         self.inner.fmt(f)
     }
 }
+
+/// Model-aware drop-in for `std::sync::atomic::AtomicPtr`.
+#[repr(transparent)]
+pub struct AtomicPtr<T> {
+    inner: std::sync::atomic::AtomicPtr<T>,
+}
+
+impl<T> AtomicPtr<T> {
+    /// New atomic pointer holding `ptr`.
+    pub const fn new(ptr: *mut T) -> Self {
+        Self {
+            inner: std::sync::atomic::AtomicPtr::new(ptr),
+        }
+    }
+
+    /// Direct access through an exclusive borrow (no concurrency, so no
+    /// model decision point).
+    pub fn get_mut(&mut self) -> &mut *mut T {
+        self.inner.get_mut()
+    }
+
+    /// Atomic load.
+    #[inline]
+    pub fn load(&self, order: Ordering) -> *mut T {
+        sync_op();
+        self.inner.load(order)
+    }
+
+    /// Atomic compare-exchange.
+    #[inline]
+    pub fn compare_exchange(
+        &self,
+        current: *mut T,
+        new: *mut T,
+        success: Ordering,
+        failure: Ordering,
+    ) -> Result<*mut T, *mut T> {
+        sync_op();
+        self.inner.compare_exchange(current, new, success, failure)
+    }
+}
+
+impl<T> Default for AtomicPtr<T> {
+    fn default() -> Self {
+        Self::new(std::ptr::null_mut())
+    }
+}
+
+impl<T> std::fmt::Debug for AtomicPtr<T> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.inner.fmt(f)
+    }
+}

@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 
-use fairmpi::{Counter, DesignConfig, World};
+use fairmpi::{Counter, DesignConfig, FaultPlan, World};
 
 /// Drive random-ish mixed traffic and return the merged snapshot.
 fn run_mixed(design: DesignConfig, pairs: u32, msgs: u32) -> fairmpi::SpcSnapshot {
@@ -98,6 +98,52 @@ fn byte_accounting_includes_envelopes() {
     let env = world.fabric_config().envelope_bytes as u64;
     assert_eq!(s0[Counter::BytesSent], 100 + 2 * env, "wire bytes");
     assert_eq!(s1[Counter::BytesReceived], 100, "payload bytes only");
+}
+
+/// A rendezvous message is one message on both sides, whatever the number
+/// of protocol packets (RTS, CTS, DATA) it took; byte volume stays per
+/// packet. Checked on the direct wire and through the reliability layer,
+/// which injects through its own frame path.
+#[test]
+fn rendezvous_messages_are_counted_once() {
+    let plan = FaultPlan::seeded(1).dup(1000);
+    for design in [
+        DesignConfig::default(),
+        DesignConfig::builder().chaos(plan).build().unwrap(),
+    ] {
+        let world = World::builder().ranks(2).design(design).build();
+        let comm = world.comm_world();
+        let len = world.fabric_config().eager_threshold + 1;
+        let p0 = world.proc(0);
+        let p1 = world.proc(1);
+        let t = std::thread::spawn(move || p0.send(&vec![5u8; len], 1, 0, comm).unwrap());
+        assert_eq!(p1.recv(len, 0, 0, comm).unwrap().data.len(), len);
+        t.join().unwrap();
+        // Let the reliability layer retire the last acks.
+        while world.proc(0).in_flight_frames() + world.proc(1).in_flight_frames() > 0 {
+            world.proc(0).progress();
+            world.proc(1).progress();
+        }
+        let s0 = world.proc(0).spc_snapshot();
+        let s1 = world.proc(1).spc_snapshot();
+        assert_eq!(s0[Counter::RendezvousSends], 1);
+        assert_eq!(
+            s0[Counter::MessagesSent],
+            1,
+            "sender counts RTS + DATA as one"
+        );
+        assert_eq!(s1[Counter::MessagesSent], 0, "the CTS is not a message");
+        assert_eq!(s1[Counter::MessagesReceived], 1, "RTS match + DATA is one");
+        assert_eq!(s0[Counter::MessagesReceived], 0);
+        let env = world.fabric_config().envelope_bytes as u64;
+        assert_eq!(
+            s0[Counter::BytesSent],
+            env + (len as u64 + env),
+            "RTS + DATA"
+        );
+        assert_eq!(s1[Counter::BytesSent], env, "CTS");
+        assert_eq!(s1[Counter::BytesReceived], len as u64);
+    }
 }
 
 #[test]
