@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Offline CI gate: build, test, format, lint. Run from the repo root.
-# The workspace vendors its third-party shims under compat/, so everything
-# here works without network access.
+# The only third-party crates (rand, criterion) are local shims under
+# compat/, so everything here works without network access.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -28,14 +28,15 @@ cargo test -q --offline --test sync_backends --features trace
 
 echo "== model check (bounded-preemption interleaving exploration) =="
 # Exhaustive DFS over the lock-free core's protocols (offload ring,
-# Algorithm 2 fallback sweep, dedup window) ...
+# Algorithm 2 fallback sweep, dedup window, request slab, fabric rx ring
+# and drain guard) ...
 cargo test -q --offline -p fairmpi-check 2>&1 | tee /tmp/fairmpi_check.log
 ! grep -q "FAILED" /tmp/fairmpi_check.log
-# ... and the checker must have teeth: all five seeded mutant bugs caught
+# ... and the checker must have teeth: all seven seeded mutant bugs caught
 # with reproducible counterexample schedules.
 cargo test --offline -p fairmpi-check --test mutants all_seeded_mutants_caught -- --nocapture \
     > /tmp/fairmpi_mutants.log 2>&1
-grep -q "all 5 seeded mutants caught" /tmp/fairmpi_mutants.log
+grep -q "all 7 seeded mutants caught" /tmp/fairmpi_mutants.log
 
 echo "== fmt =="
 cargo fmt --all --check

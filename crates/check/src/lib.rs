@@ -20,7 +20,10 @@
 //! * the real [`fairmpi::DedupWindow`] receiver-side duplicate
 //!   suppression under racing deliveries,
 //! * the real [`fairmpi::RequestSlab`] generation rule: a stale completion
-//!   racing a reap-and-reallocate, and two racing reapers of one token.
+//!   racing a reap-and-reallocate, and two racing reapers of one token,
+//! * the real [`fairmpi_fabric::NetworkContext`] rx ring under racing
+//!   deliveries and a concurrent drainer (exactly-once FIFO delivery and
+//!   watermark depths), and its drain guard under racing claims.
 //!
 //! The [`mutants`] module carries deliberately-broken variants of each
 //! algorithm; the test suite asserts the checker produces a reproducible
@@ -60,7 +63,71 @@ pub use fairmpi_sync::model::{
     spawn, thread_id, yield_now, Checker, Counterexample, JoinHandle, Outcome,
 };
 
+use fairmpi_sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::Arc;
+
 pub mod mutants;
+
+/// Assert that `outcome` passed and that the bounded schedule space was
+/// exhausted (not cut short by `max_schedules`), then print its size.
+pub fn assert_exhaustive(outcome: Outcome, what: &str) {
+    outcome.assert_pass(what);
+    if let Outcome::Pass {
+        schedules,
+        complete,
+    } = outcome
+    {
+        assert!(complete, "bounded schedule space was not exhausted");
+        println!("{what}: {schedules} schedules, exhaustive");
+    }
+}
+
+/// Two threads race to claim `target`'s drain side; `hold` claims it,
+/// runs the callback while holding the claim, then releases it. A claim
+/// that panics with "concurrent drain" (the drain guard's debug assertion)
+/// is tolerated; any other panic propagates. Asserts that no schedule
+/// hands out two live claims, and returns whether the assertion fired in
+/// this one.
+pub fn race_drain_claims<T: Send + Sync + 'static>(
+    target: Arc<T>,
+    hold: fn(&T, &dyn Fn()),
+) -> bool {
+    let live = Arc::new(AtomicU64::new(0));
+    let overlapped = Arc::new(AtomicBool::new(false));
+    let racers: Vec<_> = (0..2)
+        .map(|_| {
+            let (target, live, overlapped) = (target.clone(), live.clone(), overlapped.clone());
+            spawn(move || {
+                let held = || {
+                    if live.fetch_add(1, Ordering::SeqCst) > 0 {
+                        overlapped.store(true, Ordering::SeqCst);
+                    }
+                    live.fetch_sub(1, Ordering::SeqCst);
+                };
+                match catch_unwind(AssertUnwindSafe(|| hold(&target, &held))) {
+                    Ok(()) => false,
+                    Err(payload) if is_concurrent_drain(payload.as_ref()) => true,
+                    Err(payload) => resume_unwind(payload),
+                }
+            })
+        })
+        .collect();
+    let fired = racers.into_iter().fold(false, |fired, r| r.join() | fired);
+    assert!(
+        !overlapped.load(Ordering::SeqCst),
+        "two live drain guards and no concurrent-drain assertion"
+    );
+    fired
+}
+
+fn is_concurrent_drain(payload: &(dyn std::any::Any + Send)) -> bool {
+    let message = payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str));
+    message.is_some_and(|m| m.contains("concurrent drain"))
+}
 
 /// Assert that `outcome` is a failure and that replaying its counterexample
 /// schedule reproduces a failure. Returns the counterexample for further

@@ -8,7 +8,7 @@
 //! evidence that the checker would catch the corresponding real
 //! regression. **Nothing in this module is used by the runtime.**
 //!
-//! The five seeded bugs:
+//! The seven seeded bugs:
 //!
 //! 1. [`RingBug::PublishBeforeWrite`] — the MPSC ring publishes a slot's
 //!    sequence number before storing the value, so a concurrent consumer
@@ -27,10 +27,19 @@
 //!    to the free list without bumping its generation, so the next
 //!    occupant gets the old token back and a late completion of the old
 //!    request completes the new one.
+//! 6. [`RxBug::DepthInSecondSection`] — the fabric rx ring samples its
+//!    depth for the watermark in a second critical section after the
+//!    push, so two racing deliveries both record the later depth and the
+//!    low watermark reports a depth no delivery produced.
+//! 7. [`MiniDrainFlag`] with `load_then_store = true` — the context's
+//!    drain guard is claimed with a load + store instead of a swap, so two
+//!    racing drainers can both see the flag clear and both hold a guard
+//!    without the concurrent-drain assertion firing.
 
-use fairmpi_sync::atomic::{AtomicU64, Ordering};
+use fairmpi_spc::WatermarkCell;
+use fairmpi_sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use fairmpi_sync::Mutex;
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, VecDeque};
 
 // ---------------------------------------------------------------------------
 // Miniature MPSC ticket ring (mirrors fairmpi_offload::TicketRing)
@@ -374,5 +383,100 @@ impl MiniSlab {
         }
         self.free.lock().push(index as u64);
         Some(true)
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Fabric rx ring and drain guard (mirror fairmpi_fabric::NetworkContext)
+// ---------------------------------------------------------------------------
+
+/// Which bug, if any, to seed into [`MiniRx`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RxBug {
+    /// Correct protocol: push and depth sample under one guard.
+    None,
+    /// Sample the depth in a second critical section after the push.
+    DepthInSecondSection,
+}
+
+/// Miniature of a network context's rx ring: a locked FIFO whose depth is
+/// sampled into a [`WatermarkCell`] at every delivery.
+pub struct MiniRx {
+    bug: RxBug,
+    ring: Mutex<VecDeque<u64>>,
+    depth: WatermarkCell,
+}
+
+impl MiniRx {
+    /// Empty ring; `bug` seeds the mutant.
+    pub fn new(bug: RxBug) -> Self {
+        Self {
+            bug,
+            ring: Mutex::new(VecDeque::new()),
+            depth: WatermarkCell::new(),
+        }
+    }
+
+    /// Deliver one packet (any thread).
+    pub fn post(&self, packet: u64) {
+        let mut ring = self.ring.lock();
+        ring.push_back(packet);
+        if self.bug == RxBug::None {
+            self.depth.record(ring.len() as u64);
+            return;
+        }
+        drop(ring);
+        // Seeded bug: another delivery can land between the push above
+        // and the sample below.
+        let depth = self.ring.lock().len();
+        self.depth.record(depth as u64);
+    }
+
+    /// Extremes of the depths sampled at deliveries.
+    pub fn depth(&self) -> &WatermarkCell {
+        &self.depth
+    }
+}
+
+/// Miniature of a network context's drain flag. [`MiniDrainFlag::begin`]
+/// panics with "concurrent drain" when it finds the flag already set, as
+/// the real guard's debug assertion does.
+pub struct MiniDrainFlag {
+    load_then_store: bool,
+    draining: AtomicBool,
+}
+
+/// Guard returned by [`MiniDrainFlag::begin`]; clears the flag on drop.
+pub struct MiniDrain<'a> {
+    flag: &'a MiniDrainFlag,
+}
+
+impl MiniDrainFlag {
+    /// Clear flag; `load_then_store` seeds the mutant.
+    pub fn new(load_then_store: bool) -> Self {
+        Self {
+            load_then_store,
+            draining: AtomicBool::new(false),
+        }
+    }
+
+    /// Claim the drain side.
+    pub fn begin(&self) -> MiniDrain<'_> {
+        let was = if self.load_then_store {
+            // Seeded bug: both racers can load `false` before either stores.
+            let was = self.draining.load(Ordering::Acquire);
+            self.draining.store(true, Ordering::Release);
+            was
+        } else {
+            self.draining.swap(true, Ordering::Acquire)
+        };
+        assert!(!was, "concurrent drain");
+        MiniDrain { flag: self }
+    }
+}
+
+impl Drop for MiniDrain<'_> {
+    fn drop(&mut self) {
+        self.flag.draining.store(false, Ordering::Release);
     }
 }

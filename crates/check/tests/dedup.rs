@@ -2,7 +2,7 @@
 //! suppression (`fairmpi::DedupWindow`) used by the reliability layer.
 
 use fairmpi::DedupWindow;
-use fairmpi_check::{spawn, Checker};
+use fairmpi_check::{assert_exhaustive, spawn, Checker};
 use fairmpi_sync::atomic::{AtomicU64, Ordering};
 use fairmpi_sync::Mutex;
 use std::sync::Arc;
@@ -36,17 +36,7 @@ fn racing_duplicate_deliveries_accept_exactly_once() {
             "exactly one delivery of tseq 1 accepted"
         );
     });
-    outcome.assert_pass("DedupWindow racing duplicates");
-    match outcome {
-        fairmpi_check::Outcome::Pass {
-            schedules,
-            complete,
-        } => {
-            assert!(complete, "bounded schedule space was not exhausted");
-            println!("DedupWindow duplicates: {schedules} schedules, exhaustive");
-        }
-        fairmpi_check::Outcome::Fail(_) => unreachable!(),
-    }
+    assert_exhaustive(outcome, "DedupWindow racing duplicates");
 }
 
 /// Out-of-order arrivals with duplicates from both threads: each distinct

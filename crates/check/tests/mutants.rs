@@ -1,10 +1,14 @@
-//! The checker's own regression suite: five deliberately seeded
+//! The checker's own regression suite: seven deliberately seeded
 //! concurrency bugs (see `fairmpi_check::mutants`), each of which the
 //! checker must catch with a reproducible counterexample. A checker that
 //! passes correct code proves nothing unless it also fails broken code.
 
-use fairmpi_check::mutants::{MiniPool, MiniSlab, ModelRing, Pop, RacyDedup, RingBug, SlabBug};
-use fairmpi_check::{assert_reproducible_failure, spawn, yield_now, Checker, Counterexample};
+use fairmpi_check::mutants::{
+    MiniDrainFlag, MiniPool, MiniRx, MiniSlab, ModelRing, Pop, RacyDedup, RingBug, RxBug, SlabBug,
+};
+use fairmpi_check::{
+    assert_reproducible_failure, race_drain_claims, spawn, yield_now, Checker, Counterexample,
+};
 use fairmpi_sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -144,6 +148,46 @@ fn slab_reap_without_bump() {
     stale_completion_after_reuse(SlabBug::ReapWithoutBump);
 }
 
+/// Two racing deliveries into an undrained ring produce depths 1 and 2
+/// (the shape of `fairmpi-check`'s real-ring watermark test).
+fn racing_deliveries_record_their_depths(bug: RxBug) {
+    let rx = Arc::new(MiniRx::new(bug));
+    let producers: Vec<_> = (1..=2u64)
+        .map(|v| {
+            let rx = Arc::clone(&rx);
+            spawn(move || rx.post(v))
+        })
+        .collect();
+    for p in producers {
+        p.join();
+    }
+    assert_eq!(
+        (rx.depth().low(), rx.depth().high()),
+        (1, 2),
+        "a delivery recorded a depth it did not produce"
+    );
+}
+
+fn rx_depth_in_second_section() {
+    racing_deliveries_record_their_depths(RxBug::DepthInSecondSection);
+}
+
+/// Two threads race to claim one drain flag (the shape of
+/// `fairmpi-check`'s real drain-guard test).
+fn racing_drain_claims(load_then_store: bool) {
+    race_drain_claims(
+        Arc::new(MiniDrainFlag::new(load_then_store)),
+        |flag, held| {
+            let _guard = flag.begin();
+            held();
+        },
+    );
+}
+
+fn drain_claim_load_then_store() {
+    racing_drain_claims(true);
+}
+
 // --- catchers: explore, then replay the counterexample verbatim ---
 
 fn catch(what: &str, scenario: fn()) -> Counterexample {
@@ -182,22 +226,46 @@ fn mutant_slab_reap_without_bump_caught() {
     catch("slab reap-without-bump", slab_reap_without_bump);
 }
 
+#[test]
+fn mutant_rx_depth_in_second_section_caught() {
+    catch("rx depth-in-second-section", rx_depth_in_second_section);
+}
+
+#[test]
+fn mutant_drain_claim_load_then_store_caught() {
+    catch("drain claim load-then-store", drain_claim_load_then_store);
+}
+
 /// The gate ci.sh greps for: every seeded mutant produced a reproducible
 /// counterexample.
 #[test]
 fn all_seeded_mutants_caught() {
-    let mutants: [(&str, fn()); 5] = [
+    let mutants: [(&str, fn()); 7] = [
         ("ring publish-before-write", ring_publish_before_write),
         ("ring ticket-without-CAS", ring_ticket_without_cas),
         ("progress lost-wakeup", progress_lost_wakeup),
         ("dedup check-then-insert", dedup_check_then_insert),
         ("slab reap-without-bump", slab_reap_without_bump),
+        ("rx depth-in-second-section", rx_depth_in_second_section),
+        ("drain claim load-then-store", drain_claim_load_then_store),
     ];
     for (what, scenario) in mutants {
         let ce = catch(what, scenario);
         assert!(!ce.schedule.is_empty(), "counterexample has a schedule");
     }
     println!("all {} seeded mutants caught", mutants.len());
+}
+
+/// The miniature rx ring and drain flag without their seeded bugs pass
+/// the scenarios their mutants fail.
+#[test]
+fn miniature_rx_and_drain_flag_correct_protocols_pass() {
+    Checker::new()
+        .check(|| racing_deliveries_record_their_depths(RxBug::None))
+        .assert_pass("miniature rx ring, correct protocol");
+    Checker::new()
+        .check(|| racing_drain_claims(false))
+        .assert_pass("miniature drain flag, correct protocol");
 }
 
 /// The miniature slab with the generation bump passes the scenario its

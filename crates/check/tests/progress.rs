@@ -3,7 +3,7 @@
 //! sweep when the dedicated drain produced nothing.
 
 use fairmpi_check::mutants::MiniPool;
-use fairmpi_check::{spawn, yield_now, Checker};
+use fairmpi_check::{assert_exhaustive, spawn, yield_now, Checker};
 use std::sync::Arc;
 
 /// A completion posted to an instance nobody is dedicated to is still
@@ -37,17 +37,7 @@ fn algorithm2_fallback_sweep_extracts_stranded_completion() {
         }
         assert_eq!(out, vec![7], "stranded completion extracted by the sweep");
     });
-    outcome.assert_pass("Algorithm 2 fallback sweep");
-    match outcome {
-        fairmpi_check::Outcome::Pass {
-            schedules,
-            complete,
-        } => {
-            assert!(complete, "bounded schedule space was not exhausted");
-            println!("Algorithm 2 sweep: {schedules} schedules, exhaustive");
-        }
-        fairmpi_check::Outcome::Fail(_) => unreachable!(),
-    }
+    assert_exhaustive(outcome, "Algorithm 2 fallback sweep");
 }
 
 /// Two progress threads with different dedicated instances never deadlock

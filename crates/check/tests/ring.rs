@@ -1,7 +1,7 @@
 //! Exhaustive interleaving checks of the real offload command ring
 //! (`fairmpi_offload::TicketRing`) under the model backend.
 
-use fairmpi_check::{spawn, yield_now, Checker};
+use fairmpi_check::{assert_exhaustive, spawn, yield_now, Checker};
 use fairmpi_offload::TicketRing;
 use std::sync::Arc;
 
@@ -44,17 +44,7 @@ fn ring_two_producers_one_consumer_exhaustive() {
         assert_eq!(got, vec![1, 2], "each pushed value popped exactly once");
         assert!(ring.try_pop().is_none(), "ring empty after the drain");
     });
-    outcome.assert_pass("TicketRing 2 producers x 1 consumer");
-    match outcome {
-        fairmpi_check::Outcome::Pass {
-            schedules,
-            complete,
-        } => {
-            assert!(complete, "bounded schedule space was not exhausted");
-            println!("TicketRing 2p1c: {schedules} schedules, exhaustive");
-        }
-        fairmpi_check::Outcome::Fail(_) => unreachable!(),
-    }
+    assert_exhaustive(outcome, "TicketRing 2 producers x 1 consumer");
 }
 
 /// Batch extraction (`pop_batch`, the consumer path the offload workers

@@ -3,20 +3,8 @@
 //! away from its slot's next occupant, and single-winner reaping.
 
 use fairmpi::{Delivery, Message, MpiError, RequestSlab};
-use fairmpi_check::{spawn, Checker, Outcome};
+use fairmpi_check::{assert_exhaustive, spawn, Checker};
 use std::sync::Arc;
-
-fn assert_exhaustive(outcome: Outcome, what: &str) {
-    outcome.assert_pass(what);
-    if let Outcome::Pass {
-        schedules,
-        complete,
-    } = outcome
-    {
-        assert!(complete, "bounded schedule space was not exhausted");
-        println!("{what}: {schedules} schedules, exhaustive");
-    }
-}
 
 /// The progress path delivers a late completion (a duplicate `SendDone`,
 /// then a failure) for a request while the application thread completes,

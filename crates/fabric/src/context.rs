@@ -1,8 +1,10 @@
 //! Network contexts: the resource the paper replicates into CRIs.
 
-use crossbeam::queue::SegQueue;
+use std::collections::VecDeque;
+
 use fairmpi_spc::WatermarkCell;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use fairmpi_sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use fairmpi_sync::Mutex;
 
 use crate::{Packet, Rank};
 
@@ -35,6 +37,11 @@ pub enum CompletionKind {
 /// (the wire does it), but *draining* must be serialized by the owner — in
 /// this design, by the CRI lock above. Debug builds verify the discipline
 /// with [`NetworkContext::begin_drain`].
+///
+/// The ring and the CQ are named `fairmpi-sync` locks
+/// (`fabric.rx[rank=R,ctx=I]`, `fabric.cq[rank=R,ctx=I]`): every sender to
+/// a context serializes on its ring, and the traced backend reports that
+/// contention next to the CRI locks.
 #[derive(Debug)]
 pub struct NetworkContext {
     /// Owning rank.
@@ -42,9 +49,9 @@ pub struct NetworkContext {
     /// Index of this context within the rank's context table.
     index: usize,
     /// Incoming packets deposited by the wire.
-    rx: SegQueue<Packet>,
+    rx: Mutex<VecDeque<Packet>>,
     /// Local completion events.
-    cq: SegQueue<Completion>,
+    cq: Mutex<VecDeque<Completion>>,
     /// Number of operations injected but not yet completed.
     pending_ops: AtomicU64,
     /// Extremes of `pending_ops`, sampled at each injection — how deep this
@@ -65,8 +72,12 @@ impl NetworkContext {
         Self {
             rank,
             index,
-            rx: SegQueue::new(),
-            cq: SegQueue::new(),
+            rx: Mutex::named(VecDeque::new(), move || {
+                format!("fabric.rx[rank={rank},ctx={index}]")
+            }),
+            cq: Mutex::named(VecDeque::new(), move || {
+                format!("fabric.cq[rank={rank},ctx={index}]")
+            }),
             pending_ops: AtomicU64::new(0),
             pending_watermark: WatermarkCell::new(),
             rx_watermark: WatermarkCell::new(),
@@ -88,12 +99,16 @@ impl NetworkContext {
     /// Deposit an incoming packet (called by the wire / remote endpoints;
     /// safe from any thread). A dead context silently discards traffic,
     /// exactly like a failed NIC port — recovery is the sender's problem.
+    ///
+    /// The depth is sampled under the same guard as the push, so each
+    /// delivery records exactly the depth it produced.
     pub fn post_rx(&self, packet: Packet) {
         if !self.is_alive() {
             return;
         }
-        self.rx.push(packet);
-        self.rx_watermark.record(self.rx.len() as u64);
+        let mut rx = self.rx.lock();
+        rx.push_back(packet);
+        self.rx_watermark.record(rx.len() as u64);
     }
 
     /// Permanently kill this context (fault injection). Irreversible: all
@@ -110,7 +125,7 @@ impl NetworkContext {
     /// Deposit a local completion event.
     pub fn post_completion(&self, completion: Completion) {
         fairmpi_trace::instant("fabric.cq_completion");
-        self.cq.push(completion);
+        self.cq.lock().push_back(completion);
     }
 
     /// Record that an operation was injected and will complete later.
@@ -144,7 +159,7 @@ impl NetworkContext {
     /// Whether any packet or completion is waiting (cheap peek for progress
     /// heuristics; may race, callers must tolerate both outcomes).
     pub fn has_work(&self) -> bool {
-        !self.rx.is_empty() || !self.cq.is_empty()
+        !self.rx.lock().is_empty() || !self.cq.lock().is_empty()
     }
 
     /// Begin draining this context. Enforces (in debug builds) that only one
@@ -172,12 +187,12 @@ pub struct DrainGuard<'a> {
 impl DrainGuard<'_> {
     /// Pop one incoming packet, if any.
     pub fn pop_rx(&mut self) -> Option<Packet> {
-        self.ctx.rx.pop()
+        self.ctx.rx.lock().pop_front()
     }
 
     /// Pop one completion event, if any.
     pub fn pop_completion(&mut self) -> Option<Completion> {
-        self.ctx.cq.pop()
+        self.ctx.cq.lock().pop_front()
     }
 
     /// The context being drained.

@@ -7,7 +7,7 @@
 //! The virtual-time executor never calls these; it advances a virtual clock
 //! instead.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use fairmpi_sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 /// Iterations of the calibration loop per nanosecond, fixed-point ×1024.

@@ -4,7 +4,7 @@ use std::sync::{Arc, OnceLock};
 
 use fairmpi_chaos::{ChaosEngine, Delivery, FaultPlan};
 use fairmpi_spc::{Counter, SpcSet};
-use parking_lot::Mutex;
+use fairmpi_sync::Mutex;
 
 use crate::{FabricConfig, NetworkContext, Packet, Rank};
 
@@ -122,7 +122,7 @@ impl Fabric {
             .chaos
             .set(ChaosState {
                 engine: ChaosEngine::new(plan),
-                holdback: Mutex::new(Vec::new()),
+                holdback: Mutex::named(Vec::new(), || "fabric.chaos_holdback".to_string()),
             })
             .is_ok();
         assert!(armed, "a fault plan can only be armed once per fabric");

@@ -16,7 +16,6 @@
 //!   executor (`fairmpi-vsim`), which reproduces the paper's contention
 //!   shapes on any host. The figure harnesses use this backend.
 
-use std::sync::Arc;
 use std::time::Instant;
 
 use fairmpi::{
@@ -138,26 +137,15 @@ fn run_receiver(proc: &Proc, src: Rank, comm: Communicator, cfg: &MultirateConfi
 pub fn run_native(cfg: &MultirateConfig) -> MultirateReport {
     assert!(cfg.pairs >= 1 && cfg.window >= 1 && cfg.iterations >= 1);
     let (world, endpoints) = build_world(cfg);
-    let world = Arc::new(world);
 
     let start = Instant::now();
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for (pair, &(s_rank, r_rank, comm)) in endpoints.iter().enumerate() {
-            let sender_world = Arc::clone(&world);
-            let cfg2 = cfg.clone();
-            scope.spawn(move |_| {
-                let p = sender_world.proc(s_rank);
-                run_sender(&p, r_rank, comm, &cfg2, pair);
-            });
-            let receiver_world = Arc::clone(&world);
-            let cfg2 = cfg.clone();
-            scope.spawn(move |_| {
-                let p = receiver_world.proc(r_rank);
-                run_receiver(&p, s_rank, comm, &cfg2, pair);
-            });
+            let world = &world;
+            scope.spawn(move || run_sender(&world.proc(s_rank), r_rank, comm, cfg, pair));
+            scope.spawn(move || run_receiver(&world.proc(r_rank), s_rank, comm, cfg, pair));
         }
-    })
-    .expect("benchmark threads");
+    });
     let elapsed_ns = start.elapsed().as_nanos() as u64;
 
     let total = cfg.total_messages();

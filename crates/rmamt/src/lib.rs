@@ -8,7 +8,6 @@
 //! native backend over the real runtime and a virtual-time backend for the
 //! figure harnesses.
 
-use std::sync::Arc;
 use std::time::Instant;
 
 use fairmpi::{Assignment, DesignConfig, ProgressMode, SpcSnapshot, World};
@@ -82,30 +81,27 @@ pub fn run_native(cfg: &RmamtConfig) -> RmamtReport {
     assert!(cfg.threads >= 1 && cfg.ops_per_thread >= 1);
     // Each thread writes to a disjoint window region.
     let region = cfg.msg_size.max(8).next_multiple_of(8);
-    let world = Arc::new(
-        World::builder()
-            .ranks(2)
-            .fabric(cfg.fabric.clone())
-            .design(cfg.design)
-            .build(),
-    );
+    let world = World::builder()
+        .ranks(2)
+        .fabric(cfg.fabric.clone())
+        .design(cfg.design)
+        .build();
     let win_id = world.allocate_window(region * cfg.threads);
 
     let start = Instant::now();
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for t in 0..cfg.threads {
-            let world = Arc::clone(&world);
-            let cfg2 = cfg.clone();
-            scope.spawn(move |_| {
+            let world = &world;
+            scope.spawn(move || {
                 let proc = world.proc(0);
                 let win = proc.window(win_id).expect("window");
-                let payload = vec![t as u8; cfg2.msg_size];
+                let payload = vec![t as u8; cfg.msg_size];
                 let offset = t * region;
-                for i in 0..cfg2.ops_per_thread {
-                    match cfg2.op {
+                for i in 0..cfg.ops_per_thread {
+                    match cfg.op {
                         RmaOpKind::Put => win.put(1, offset, &payload).expect("put"),
                         RmaOpKind::Get => {
-                            let _ = win.get(1, offset, cfg2.msg_size).expect("get");
+                            let _ = win.get(1, offset, cfg.msg_size).expect("get");
                         }
                         RmaOpKind::FetchAdd => {
                             let _ = win.fetch_add(1, offset, i as u64).expect("fetch_add");
@@ -115,8 +111,7 @@ pub fn run_native(cfg: &RmamtConfig) -> RmamtReport {
                 win.flush(1).expect("flush");
             });
         }
-    })
-    .expect("benchmark threads");
+    });
     let elapsed_ns = start.elapsed().as_nanos() as u64;
 
     let total = cfg.total_ops();

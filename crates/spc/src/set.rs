@@ -1,6 +1,6 @@
 //! The live counter storage.
 
-use crossbeam::utils::CachePadded;
+use fairmpi_sync::CachePadded;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::{Counter, Histogram, HistogramCell, SpcSnapshot, Watermark, WatermarkCell};

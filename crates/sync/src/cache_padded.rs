@@ -1,4 +1,4 @@
-//! Cache-line padding, previously pulled from `crossbeam::utils`.
+//! Cache-line padding for hot per-thread and per-counter state.
 
 use core::fmt;
 use core::ops::{Deref, DerefMut};

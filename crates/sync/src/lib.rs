@@ -1,11 +1,12 @@
 //! # fairmpi-sync — the workspace's synchronization facade
 //!
 //! Every lock, atomic, and cache-line pad in the runtime goes through this
-//! crate instead of reaching for `std`/`parking_lot` directly. The paper's
-//! entire contribution lives in synchronization design — per-instance
-//! try-locks (Algorithm 2), per-communicator matching locks, the offload
-//! command ring, the reliability dedup window — so the primitives they are
-//! built on need to be swappable as a unit:
+//! crate instead of reaching for `std::sync` directly. The paper's entire
+//! contribution lives in synchronization design — per-instance try-locks
+//! (Algorithm 2), per-communicator matching locks, the fabric's rx rings
+//! and completion queues, the offload command ring, the reliability dedup
+//! window — so the primitives they are built on need to be swappable as a
+//! unit:
 //!
 //! * **native** (default): thin wrappers over `std::sync` with
 //!   parking-lot-style ergonomics (no poisoning, `try_lock → Option`).

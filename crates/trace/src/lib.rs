@@ -23,8 +23,6 @@
 //!   Perfetto (one track per thread/actor plus one per lock).
 //! * [`Trace::contention_report`] — per-lock wait/hold statistics and a
 //!   top-N contended ranking.
-//! * [`SpcSeries`] — periodic [`fairmpi_spc::SpcSet`] snapshots turned
-//!   into per-interval rate CSV.
 //!
 //! # Usage
 //!
@@ -49,7 +47,6 @@ mod clock;
 mod contention;
 mod event;
 pub mod json;
-mod series;
 mod trace_data;
 
 #[cfg(feature = "enabled")]
@@ -63,7 +60,6 @@ mod noop;
 pub use clock::{Clock, VirtualClock, WallClock};
 pub use contention::{ContentionReport, LockStats, WAIT_HIST_BUCKETS};
 pub use event::{Event, EventKind, NameId, TrackId};
-pub use series::SpcSeries;
 pub use trace_data::{Trace, TrackData};
 
 #[cfg(feature = "enabled")]

@@ -13,13 +13,12 @@ use std::rc::Rc;
 use std::sync::Arc;
 
 use fairmpi_chaos::XorShift64;
-use fairmpi_trace::SpcSeries;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use fairmpi_fabric::{Envelope, Packet, ANY_TAG};
 use fairmpi_matching::{MatchEvent, Matcher, PostOutcome, PostedRecv, SendSequencer};
-use fairmpi_spc::{Counter, Histogram, SpcSet, SpcSnapshot, Watermark};
+use fairmpi_spc::{Counter, Histogram, SpcSeries, SpcSet, SpcSnapshot, Watermark};
 
 use crate::cost::CostModel;
 use crate::engine::{Action, Actor, LockId, Resume, Sim, WorldAccess};

@@ -1,9 +1,9 @@
 //! Backend identity: the `fairmpi-sync` native and traced backends must be
 //! observationally equivalent.
 //!
-//! The traced backend (built with `--features trace`) routes every lock
-//! acquisition through fairmpi-trace's contention profiler; the native
-//! backend compiles down to bare `parking_lot` primitives. Neither may
+//! The traced backend (built with `--features trace`) routes every named
+//! lock acquisition through fairmpi-trace's contention profiler; the native
+//! backend compiles down to bare `std::sync` primitives. Neither may
 //! change what the runtime *does* — only how it is observed. This test
 //! drives the Fig. 5 flagship design point (the proposed design: dedicated
 //! CRIs with concurrent progress and matching) with a native-thread stress
@@ -13,7 +13,8 @@
 //! ci.sh runs this test twice — once in the default (native) build and
 //! once with `--features trace` — so the same constants are checked under
 //! both backends: any divergence in message/byte accounting between them
-//! fails one of the two runs.
+//! fails one of the two runs. The traced build additionally checks that
+//! the fabric's rx rings show up by name in the contention report.
 
 use std::sync::Arc;
 
@@ -104,4 +105,19 @@ fn flagship_point_subset_is_stable_across_runs() {
     let a = deterministic_subset(&run_flagship());
     let b = deterministic_subset(&run_flagship());
     assert_eq!(a, b, "deterministic subset varied between identical runs");
+}
+
+/// Every sender to a context serializes on its rx ring, so the traced
+/// backend must report that lock by name next to the CRI locks.
+#[cfg(feature = "trace")]
+#[test]
+fn traced_run_reports_the_fabric_rx_ring() {
+    fairmpi_trace::start_wall();
+    run_flagship();
+    let report = fairmpi_trace::stop().contention_report();
+    let names: Vec<&str> = report.locks.iter().map(|l| l.name.as_str()).collect();
+    assert!(
+        names.contains(&"fabric.rx[rank=1,ctx=0]"),
+        "rx ring missing from the contention report: {names:?}"
+    );
 }
