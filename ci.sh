@@ -32,11 +32,11 @@ echo "== model check (bounded-preemption interleaving exploration) =="
 # and drain guard) ...
 cargo test -q --offline -p fairmpi-check 2>&1 | tee /tmp/fairmpi_check.log
 ! grep -q "FAILED" /tmp/fairmpi_check.log
-# ... and the checker must have teeth: all seven seeded mutant bugs caught
+# ... and the checker must have teeth: all eight seeded mutant bugs caught
 # with reproducible counterexample schedules.
 cargo test --offline -p fairmpi-check --test mutants all_seeded_mutants_caught -- --nocapture \
     > /tmp/fairmpi_mutants.log 2>&1
-grep -q "all 7 seeded mutants caught" /tmp/fairmpi_mutants.log
+grep -q "all 8 seeded mutants caught" /tmp/fairmpi_mutants.log
 
 echo "== fmt =="
 cargo fmt --all --check

@@ -20,7 +20,10 @@
 //! * the real [`fairmpi::DedupWindow`] receiver-side duplicate
 //!   suppression under racing deliveries,
 //! * the real [`fairmpi::RequestSlab`] generation rule: a stale completion
-//!   racing a reap-and-reallocate, and two racing reapers of one token,
+//!   racing a reap-and-reallocate, and two racing reapers of one token;
+//!   and its sharded free list: a slot freed on another thread's shard is
+//!   stolen before the slab grows, and two racing stealers take different
+//!   slots,
 //! * the real [`fairmpi_fabric::NetworkContext`] rx ring under racing
 //!   deliveries and a concurrent drainer (exactly-once FIFO delivery and
 //!   watermark depths), and its drain guard under racing claims.

@@ -8,7 +8,7 @@
 //! evidence that the checker would catch the corresponding real
 //! regression. **Nothing in this module is used by the runtime.**
 //!
-//! The seven seeded bugs:
+//! The eight seeded bugs:
 //!
 //! 1. [`RingBug::PublishBeforeWrite`] — the MPSC ring publishes a slot's
 //!    sequence number before storing the value, so a concurrent consumer
@@ -35,6 +35,10 @@
 //!    drain guard is claimed with a load + store instead of a swap, so two
 //!    racing drainers can both see the flag clear and both hold a guard
 //!    without the concurrent-drain assertion firing.
+//! 8. [`StealBug::TopThenPop`] — the request slab's sharded free list
+//!    steals from another shard by reading the victim's top index under
+//!    one guard and popping under a second guard, so two racing stealers
+//!    can both take the same slot.
 
 use fairmpi_spc::WatermarkCell;
 use fairmpi_sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -383,6 +387,64 @@ impl MiniSlab {
         }
         self.free.lock().push(index as u64);
         Some(true)
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Sharded free list with stealing (mirrors fairmpi::RequestSlab's)
+// ---------------------------------------------------------------------------
+
+/// Which bug, if any, to seed into [`MiniShardedFree`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StealBug {
+    /// Correct protocol: each pop happens under one guard.
+    None,
+    /// Read the victim's top index under one guard, pop under a second.
+    TopThenPop,
+}
+
+/// Miniature of the request slab's free list: one locked LIFO list of slot
+/// indices per shard plus a counter of indices never handed out. A thread
+/// pops its home shard, then steals from the others in shard order, then
+/// grows.
+pub struct MiniShardedFree {
+    bug: StealBug,
+    shards: Vec<Mutex<Vec<u64>>>,
+    next: AtomicU64,
+}
+
+impl MiniShardedFree {
+    /// `shards` empty shards and no slot handed out; `bug` seeds the mutant.
+    pub fn new(shards: usize, bug: StealBug) -> Self {
+        Self {
+            bug,
+            shards: (0..shards).map(|_| Mutex::new(Vec::new())).collect(),
+            next: AtomicU64::new(0),
+        }
+    }
+
+    /// Return slot `index` to shard `home`.
+    pub fn free(&self, home: usize, index: u64) {
+        self.shards[home].lock().push(index);
+    }
+
+    /// Take a slot for a thread whose shard is `home`.
+    pub fn alloc(&self, home: usize) -> u64 {
+        let n = self.shards.len();
+        (0..n)
+            .find_map(|k| self.pop(&self.shards[(home + k) % n]))
+            .unwrap_or_else(|| self.next.fetch_add(1, Ordering::SeqCst))
+    }
+
+    fn pop(&self, shard: &Mutex<Vec<u64>>) -> Option<u64> {
+        if self.bug == StealBug::None {
+            return shard.lock().pop();
+        }
+        // Seeded bug: another stealer can read the same top index between
+        // these two critical sections.
+        let top = shard.lock().last().copied()?;
+        shard.lock().pop();
+        Some(top)
     }
 }
 

@@ -1,10 +1,11 @@
-//! The checker's own regression suite: seven deliberately seeded
+//! The checker's own regression suite: eight deliberately seeded
 //! concurrency bugs (see `fairmpi_check::mutants`), each of which the
 //! checker must catch with a reproducible counterexample. A checker that
 //! passes correct code proves nothing unless it also fails broken code.
 
 use fairmpi_check::mutants::{
-    MiniDrainFlag, MiniPool, MiniRx, MiniSlab, ModelRing, Pop, RacyDedup, RingBug, RxBug, SlabBug,
+    MiniDrainFlag, MiniPool, MiniRx, MiniShardedFree, MiniSlab, ModelRing, Pop, RacyDedup, RingBug,
+    RxBug, SlabBug, StealBug,
 };
 use fairmpi_check::{
     assert_reproducible_failure, race_drain_claims, spawn, yield_now, Checker, Counterexample,
@@ -148,6 +149,29 @@ fn slab_reap_without_bump() {
     stale_completion_after_reuse(SlabBug::ReapWithoutBump);
 }
 
+/// Two threads allocate at once while both free slots sit in a third
+/// thread's shard (the shape of `fairmpi-check`'s real-slab steal test):
+/// both steal, and they must take different slots.
+fn racing_steals_take_different_slots(bug: StealBug) {
+    let free = Arc::new(MiniShardedFree::new(3, bug));
+    assert_eq!((free.alloc(2), free.alloc(2)), (0, 1));
+    free.free(2, 0);
+    free.free(2, 1);
+    let stealers: Vec<_> = (0..2)
+        .map(|home| {
+            let free = Arc::clone(&free);
+            spawn(move || free.alloc(home))
+        })
+        .collect();
+    let mut got: Vec<u64> = stealers.into_iter().map(|s| s.join()).collect();
+    got.sort_unstable();
+    assert_eq!(got, vec![0, 1], "one free slot was handed out twice");
+}
+
+fn steal_top_then_pop() {
+    racing_steals_take_different_slots(StealBug::TopThenPop);
+}
+
 /// Two racing deliveries into an undrained ring produce depths 1 and 2
 /// (the shape of `fairmpi-check`'s real-ring watermark test).
 fn racing_deliveries_record_their_depths(bug: RxBug) {
@@ -236,11 +260,16 @@ fn mutant_drain_claim_load_then_store_caught() {
     catch("drain claim load-then-store", drain_claim_load_then_store);
 }
 
+#[test]
+fn mutant_steal_top_then_pop_caught() {
+    catch("steal top-then-pop", steal_top_then_pop);
+}
+
 /// The gate ci.sh greps for: every seeded mutant produced a reproducible
 /// counterexample.
 #[test]
 fn all_seeded_mutants_caught() {
-    let mutants: [(&str, fn()); 7] = [
+    let mutants: [(&str, fn()); 8] = [
         ("ring publish-before-write", ring_publish_before_write),
         ("ring ticket-without-CAS", ring_ticket_without_cas),
         ("progress lost-wakeup", progress_lost_wakeup),
@@ -248,6 +277,7 @@ fn all_seeded_mutants_caught() {
         ("slab reap-without-bump", slab_reap_without_bump),
         ("rx depth-in-second-section", rx_depth_in_second_section),
         ("drain claim load-then-store", drain_claim_load_then_store),
+        ("steal top-then-pop", steal_top_then_pop),
     ];
     for (what, scenario) in mutants {
         let ce = catch(what, scenario);
@@ -269,12 +299,15 @@ fn miniature_rx_and_drain_flag_correct_protocols_pass() {
 }
 
 /// The miniature slab with the generation bump passes the scenario its
-/// mutant fails.
+/// mutant fails, and so does the sharded free list with one-guard pops.
 #[test]
 fn miniature_slab_correct_protocol_passes() {
     Checker::new()
         .check(|| stale_completion_after_reuse(SlabBug::None))
         .assert_pass("miniature slab, correct protocol");
+    Checker::new()
+        .check(|| racing_steals_take_different_slots(StealBug::None))
+        .assert_pass("miniature sharded free list, correct protocol");
 }
 
 /// The miniature ring with no seeded bug upholds the same properties the

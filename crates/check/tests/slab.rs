@@ -1,6 +1,9 @@
 //! Exhaustive interleaving checks of the real request slab
 //! (`fairmpi::RequestSlab`): the generation rule that keeps a stale token
-//! away from its slot's next occupant, and single-winner reaping.
+//! away from its slot's next occupant, single-winner reaping, and the
+//! sharded free list's steal path. Inside a model execution each thread's
+//! free-list shard is its model thread id, so the root thread is shard 0
+//! and the n-th spawned thread is shard n.
 
 use fairmpi::{Delivery, Message, MpiError, RequestSlab};
 use fairmpi_check::{assert_exhaustive, spawn, Checker};
@@ -65,4 +68,71 @@ fn racing_reapers_take_the_outcome_exactly_once() {
         assert!(slab.is_empty(), "the slot was freed exactly once");
     });
     assert_exhaustive(outcome, "RequestSlab racing reapers");
+}
+
+/// Slot index a token names.
+fn slot(token: u64) -> u32 {
+    token as u32 - 1
+}
+
+/// The root thread's request is reaped on another thread, so its slot goes
+/// to that thread's shard, while a third thread allocates. Whichever
+/// allocation comes second steals the freed slot instead of growing the
+/// slab: the two live requests occupy exactly slots 0 and 1, and `len()`
+/// is exact.
+#[test]
+fn a_slot_freed_on_another_shard_is_reused_before_growing() {
+    let outcome = Checker::new().check(|| {
+        let slab = Arc::new(RequestSlab::new(0));
+        let first = slab.alloc_send(0, 1, None);
+        assert!(slab.complete_send(first));
+        let reaper = {
+            let slab = Arc::clone(&slab);
+            spawn(move || slab.try_reap(first).expect("finished").expect("a send ack"))
+        };
+        let allocator = {
+            let slab = Arc::clone(&slab);
+            spawn(move || slab.alloc_recv(8))
+        };
+        reaper.join();
+        let racing = allocator.join();
+        let last = slab.alloc_recv(8);
+        let mut slots = [slot(racing), slot(last)];
+        slots.sort_unstable();
+        assert_eq!(slots, [0, 1], "the slab grew past a free slot");
+        assert_eq!(slab.len(), 2);
+    });
+    assert_exhaustive(outcome, "RequestSlab steal before growth");
+}
+
+/// Two threads allocate at once while both free slots sit in a third
+/// thread's shard: both steal, they take different slots, and the slab
+/// does not grow.
+#[test]
+fn racing_stealers_take_different_slots() {
+    let outcome = Checker::new().check(|| {
+        let slab = Arc::new(RequestSlab::new(0));
+        let freer = {
+            let slab = Arc::clone(&slab);
+            spawn(move || {
+                let tokens = [slab.alloc_send(0, 1, None), slab.alloc_send(0, 1, None)];
+                for token in tokens {
+                    assert!(slab.complete_send(token));
+                    slab.try_reap(token).expect("finished").expect("a send ack");
+                }
+            })
+        };
+        freer.join();
+        let stealers: Vec<_> = (0..2)
+            .map(|_| {
+                let slab = Arc::clone(&slab);
+                spawn(move || slab.alloc_recv(8))
+            })
+            .collect();
+        let mut slots: Vec<u32> = stealers.into_iter().map(|s| slot(s.join())).collect();
+        slots.sort_unstable();
+        assert_eq!(slots, [0, 1], "one free slot was handed out twice");
+        assert_eq!(slab.len(), 2);
+    });
+    assert_exhaustive(outcome, "RequestSlab racing stealers");
 }

@@ -17,8 +17,8 @@
 //! list, so a stale token — reaped, or completed late by the progress
 //! path — can never reach the slot's next occupant.
 
-use fairmpi_sync::atomic::{AtomicU64, Ordering};
-use fairmpi_sync::Mutex;
+use fairmpi_sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use fairmpi_sync::{thread_shard, CachePadded, Mutex, SHARDS};
 
 use fairmpi_fabric::{Rank, Tag};
 
@@ -103,13 +103,6 @@ struct Slot {
     body: Mutex<Body>,
 }
 
-/// Indices of reusable slots, plus the first index never handed out.
-#[derive(Debug, Default)]
-struct FreeList {
-    free: Vec<u32>,
-    next: u32,
-}
-
 /// How [`RequestSlab::deliver`] disposed of a received message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Delivery {
@@ -125,7 +118,11 @@ pub enum Delivery {
 /// addressed by token.
 ///
 /// * **Allocation** pops a slot off the free list (or takes a fresh one),
-///   fills its body and publishes `(generation, PENDING)`.
+///   fills its body and publishes `(generation, PENDING)`. The free list
+///   has one lock per thread shard ([`fairmpi_sync::thread_shard`]): a
+///   thread pops its own shard, then steals from the others in shard order
+///   after its own, each under that shard's lock, and only then grows the
+///   slab.
 /// * **Completion** ([`complete_send`](Self::complete_send),
 ///   [`deliver`](Self::deliver), [`fail`](Self::fail),
 ///   [`cancel`](Self::cancel)) takes effect only while the token's
@@ -133,13 +130,17 @@ pub enum Delivery {
 ///   otherwise it is a no-op that reports `false`.
 /// * **Reaping** ([`try_reap`](Self::try_reap)) moves a finished slot to
 ///   `(generation + 1, FREE)` with one compare-exchange — so exactly one
-///   reaper wins — takes the outcome and returns the slot to the free list.
+///   reaper wins — takes the outcome and returns the slot to the reaper's
+///   shard of the free list.
 ///
 /// All synchronisation goes through `fairmpi-sync`, so `fairmpi-check`
 /// explores the slab's races exhaustively.
 pub struct RequestSlab {
     slots: Segments<Slot>,
-    free: Mutex<FreeList>,
+    /// Indices of reusable slots, one LIFO list per thread shard.
+    free: [CachePadded<Mutex<Vec<u32>>>; SHARDS],
+    /// The first index never handed out.
+    next: AtomicU32,
 }
 
 impl std::fmt::Debug for RequestSlab {
@@ -151,13 +152,16 @@ impl std::fmt::Debug for RequestSlab {
 }
 
 impl RequestSlab {
-    /// An empty slab whose free-list lock is traced under `rank`'s name.
+    /// An empty slab whose free-list locks are traced under `rank`'s name.
     pub fn new(rank: Rank) -> Self {
         Self {
             slots: Segments::default(),
-            free: Mutex::named(FreeList::default(), move || {
-                format!("core.requests.free[rank={rank}]")
+            free: std::array::from_fn(|shard| {
+                CachePadded::new(Mutex::named(Vec::new(), move || {
+                    format!("core.requests.free[rank={rank},shard={shard}]")
+                }))
             }),
+            next: AtomicU32::new(0),
         }
     }
 
@@ -170,19 +174,19 @@ impl RequestSlab {
         Some((slot, (token >> 32) as u32))
     }
 
+    /// Pop a reusable slot: the caller's own shard first, then the others
+    /// in shard order, each under its own lock (never two at once).
+    fn pop_free(&self) -> Option<u32> {
+        let home = thread_shard();
+        (0..SHARDS).find_map(|k| self.free[(home + k) % SHARDS].lock().pop())
+    }
+
     fn alloc(&self, body: Body) -> u64 {
-        let index = {
-            let mut list = self.free.lock();
-            match list.free.pop() {
-                Some(index) => index,
-                None => {
-                    let index = list.next;
-                    assert!((index as usize) < CAPACITY, "request slab exhausted");
-                    list.next += 1;
-                    index
-                }
-            }
-        };
+        let index = self.pop_free().unwrap_or_else(|| {
+            let index = self.next.fetch_add(1, Ordering::Relaxed);
+            assert!((index as usize) < CAPACITY, "request slab exhausted");
+            index
+        });
         let slot = self.slots.get_or_grow(index as usize);
         // The slot is FREE and ours alone: no other thread writes its state
         // until the PENDING store below publishes the new token.
@@ -376,14 +380,16 @@ impl RequestSlab {
                 _ => Err(body.error.expect("failed request carries an error")),
             }
         };
-        self.free.lock().free.push(token as u32 - 1);
+        self.free[thread_shard()].lock().push(token as u32 - 1);
         Some(outcome)
     }
 
-    /// Number of live requests: allocated and not yet reaped.
+    /// Number of live requests: allocated and not yet reaped. Exact while
+    /// no thread allocates or reaps; the free shards are counted one lock
+    /// at a time, so a racing call may miscount.
     pub fn len(&self) -> usize {
-        let list = self.free.lock();
-        list.next as usize - list.free.len()
+        let free: usize = self.free.iter().map(|shard| shard.lock().len()).sum();
+        (self.next.load(Ordering::Relaxed) as usize).saturating_sub(free)
     }
 
     /// Whether no request is live.

@@ -34,6 +34,8 @@ pub struct Matcher {
     allow_overtaking: bool,
     /// Reassembly state per (communicator, source).
     sources: HashMap<(CommId, Rank), SourceState>,
+    /// Messages parked out of sequence, summed over `sources`.
+    out_of_sequence: usize,
     /// Posted-receive queue, in post order.
     prq: VecDeque<PostedRecv>,
     /// Unexpected-message queue, in arrival (match-admission) order.
@@ -49,6 +51,7 @@ impl Matcher {
         Self {
             allow_overtaking,
             sources: HashMap::new(),
+            out_of_sequence: 0,
             prq: VecDeque::new(),
             umq: VecDeque::new(),
             spc,
@@ -87,6 +90,7 @@ impl Matcher {
                 match state.out_of_sequence.remove(&state.expected) {
                     Some(parked) => {
                         state.expected += 1;
+                        self.out_of_sequence -= 1;
                         work.oos_drained += 1;
                         self.admit(parked, out, &mut work);
                     }
@@ -99,15 +103,17 @@ impl Matcher {
                 trace::counter("match.oos_flush", work.oos_drained as u64);
             }
         } else if seq > state.expected {
-            state.out_of_sequence.insert(seq, packet);
+            if state.out_of_sequence.insert(seq, packet).is_none() {
+                self.out_of_sequence += 1;
+            }
             work.oos_buffered += 1;
             trace::instant("match.oos_insert");
             self.spc.inc(Counter::OutOfSequenceMessages);
-            let buffered: usize = self.sources.values().map(|s| s.out_of_sequence.len()).sum();
+            let buffered = self.out_of_sequence as u64;
             self.spc
-                .record_max(Counter::MaxOutOfSequenceBuffered, buffered as u64);
+                .record_max(Counter::MaxOutOfSequenceBuffered, buffered);
             self.spc
-                .record_level(Watermark::OutOfSequenceBuffered, buffered as u64);
+                .record_level(Watermark::OutOfSequenceBuffered, buffered);
         } else {
             // A sequence number below `expected` means the fabric delivered
             // a duplicate — the wire never does that, so this is a bug.
@@ -229,7 +235,7 @@ impl Matcher {
 
     /// Messages currently parked out of sequence, across all sources.
     pub fn out_of_sequence_len(&self) -> usize {
-        self.sources.values().map(|s| s.out_of_sequence.len()).sum()
+        self.out_of_sequence
     }
 
     /// The next sequence number expected from `(comm, src)`.

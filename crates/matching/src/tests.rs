@@ -87,6 +87,29 @@ fn out_of_sequence_message_is_buffered_until_its_turn() {
 }
 
 #[test]
+fn out_of_sequence_total_spans_sources() {
+    use fairmpi_spc::Watermark;
+    let mut m = matcher(false);
+    let mut out = Vec::new();
+    // Two sources each park messages; the buffered total is across both.
+    m.deliver(pkt(1, 0, 0, 1), &mut out);
+    m.deliver(pkt(2, 0, 0, 2), &mut out);
+    m.deliver(pkt(2, 0, 0, 1), &mut out);
+    assert_eq!(m.out_of_sequence_len(), 3);
+    // Releasing source 2's chain leaves source 1's message parked.
+    m.deliver(pkt(2, 0, 0, 0), &mut out);
+    assert_eq!(m.out_of_sequence_len(), 1);
+    m.deliver(pkt(1, 0, 0, 2), &mut out);
+    assert_eq!(m.out_of_sequence_len(), 2);
+    m.deliver(pkt(1, 0, 0, 0), &mut out);
+    assert_eq!(m.out_of_sequence_len(), 0);
+    let spc = m.spc();
+    assert_eq!(spc.get(Counter::MaxOutOfSequenceBuffered), 3);
+    let level = spc.watermark(Watermark::OutOfSequenceBuffered);
+    assert_eq!((level.low(), level.high()), (1, 3));
+}
+
+#[test]
 fn oos_replay_preserves_fifo_matching_order() {
     let mut m = matcher(false);
     let mut out = Vec::new();

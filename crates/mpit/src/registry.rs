@@ -29,7 +29,7 @@ pub struct PvarRegistry {
 fn counter_info(c: Counter) -> PvarInfo {
     // MatchTimeNanos accumulates nanoseconds, not events: TIMER class,
     // exactly like OMPI exposes OMPI_SPC_MATCH_TIME.
-    let class = if c == Counter::MatchTimeNanos || c == Counter::RetryBackoffNanos {
+    let class = if c.is_timer() {
         PvarClass::Timer
     } else {
         PvarClass::Counter
@@ -203,11 +203,11 @@ impl PvarRegistry {
             PvarSource::WatermarkHigh(w) => PvarValue::Scalar(self.spc.watermark(w).high()),
             PvarSource::WatermarkLow(w) => PvarValue::Scalar(self.spc.watermark(w).low()),
             PvarSource::Histogram(h) => {
-                let cell = self.spc.histogram(h);
+                let merged = self.spc.histogram(h);
                 PvarValue::Histogram {
-                    buckets: cell.snapshot(),
-                    sum: cell.sum(),
-                    count: cell.count(),
+                    buckets: merged.buckets,
+                    sum: merged.sum,
+                    count: merged.count,
                 }
             }
         })

@@ -1,6 +1,7 @@
 //! Engine implementation.
 
 use fairmpi_sync::Mutex;
+use std::cell::Cell;
 use std::sync::Arc;
 
 use fairmpi_cri::{Assignment, Cri, CriPool};
@@ -34,6 +35,14 @@ pub trait ProgressHandler {
 enum Drained {
     Packet(Packet),
     Completion(Completion),
+}
+
+thread_local! {
+    /// Reused drain buffer: `drain_one` takes it, fills it under the
+    /// instance lock and puts it back empty, so a visit that finds work
+    /// does not allocate. A handler that re-enters progress finds it taken
+    /// and works on a fresh one.
+    static DRAINED: Cell<Vec<Drained>> = const { Cell::new(Vec::new()) };
 }
 
 /// The progress engine for one rank.
@@ -150,9 +159,10 @@ impl ProgressEngine {
             return 0;
         }
         let spc = self.pool.spc();
-        let mut items: Vec<Drained> = Vec::new();
+        let mut items = DRAINED.take();
         {
             let Some(guard) = cri.try_lock(spc) else {
+                DRAINED.set(items);
                 // Another thread is working this instance; its progress is
                 // in good hands (paper §III-C).
                 return 0;
@@ -175,18 +185,18 @@ impl ProgressEngine {
         } // instance lock released before matching, per Fig. 1's pipeline.
 
         spc.record_hist(Histogram::DrainBatchSize, items.len() as u64);
-        if items.is_empty() {
-            return 0;
-        }
-        trace::counter("progress.drained", items.len() as u64);
-        spc.add(Counter::CompletionsDrained, items.len() as u64);
         let mut count = 0;
-        for item in items {
-            count += match item {
-                Drained::Packet(p) => handler.on_packet(p),
-                Drained::Completion(c) => handler.on_completion(c),
-            };
+        if !items.is_empty() {
+            trace::counter("progress.drained", items.len() as u64);
+            spc.add(Counter::CompletionsDrained, items.len() as u64);
+            for item in items.drain(..) {
+                count += match item {
+                    Drained::Packet(p) => handler.on_packet(p),
+                    Drained::Completion(c) => handler.on_completion(c),
+                };
+            }
         }
+        DRAINED.set(items);
         count
     }
 }

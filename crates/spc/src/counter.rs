@@ -212,6 +212,23 @@ impl Counter {
         }
     }
 
+    /// Whether the counter accumulates nanoseconds (MPI_T TIMER class).
+    /// Its per-thread shards merge by saturating sum, as it is updated.
+    pub fn is_timer(self) -> bool {
+        matches!(self, Counter::MatchTimeNanos | Counter::RetryBackoffNanos)
+    }
+
+    /// Whether the counter is a high-water mark raised with
+    /// [`crate::SpcSet::record_max`]. Its per-thread shards merge by max.
+    pub fn is_high_water(self) -> bool {
+        matches!(
+            self,
+            Counter::MaxPostedRecvQueueLen
+                | Counter::MaxUnexpectedQueueLen
+                | Counter::MaxOutOfSequenceBuffered
+        )
+    }
+
     /// Index of the counter inside an [`crate::SpcSet`].
     #[inline]
     pub fn index(self) -> usize {

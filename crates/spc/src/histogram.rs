@@ -125,23 +125,13 @@ impl HistogramCell {
         self.count.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Point-in-time copy of the bucket counts.
-    pub fn snapshot(&self) -> [u64; HISTOGRAM_BUCKETS] {
-        let mut out = [0u64; HISTOGRAM_BUCKETS];
-        for (o, b) in out.iter_mut().zip(self.buckets.iter()) {
-            *o = b.load(Ordering::Relaxed);
+    /// Point-in-time copy of buckets, sum and count.
+    pub fn value(&self) -> HistogramValue {
+        HistogramValue {
+            buckets: self.buckets.each_ref().map(|b| b.load(Ordering::Relaxed)),
+            sum: self.sum.load(Ordering::Relaxed),
+            count: self.count.load(Ordering::Relaxed),
         }
-        out
-    }
-
-    /// Sum of all recorded values (saturating).
-    pub fn sum(&self) -> u64 {
-        self.sum.load(Ordering::Relaxed)
-    }
-
-    /// Number of recorded observations.
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
     }
 
     /// Forget all observations (see [`crate::SpcSet::reset`] for the
@@ -152,6 +142,30 @@ impl HistogramCell {
         }
         self.sum.store(0, Ordering::Relaxed);
         self.count.store(0, Ordering::Relaxed);
+    }
+}
+
+/// A histogram at one point in time; what [`crate::SpcSet::histogram`]
+/// returns after merging its shards.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct HistogramValue {
+    /// Observations per bucket.
+    pub buckets: [u64; HISTOGRAM_BUCKETS],
+    /// Sum of all observations (saturating).
+    pub sum: u64,
+    /// Number of observations.
+    pub count: u64,
+}
+
+impl HistogramValue {
+    /// The distribution of both sets of observations.
+    pub fn merge(mut self, other: Self) -> Self {
+        for (b, o) in self.buckets.iter_mut().zip(other.buckets) {
+            *b += o;
+        }
+        self.sum = self.sum.saturating_add(other.sum);
+        self.count += other.count;
+        self
     }
 }
 
@@ -201,13 +215,13 @@ mod tests {
         h.record(2);
         h.record(3);
         h.record(1024);
-        let snap = h.snapshot();
-        assert_eq!(snap[0], 1); // the zero
-        assert_eq!(snap[1], 1); // 1
-        assert_eq!(snap[2], 2); // 2 and 3
-        assert_eq!(snap[11], 1); // 1024 = 2^10 → bucket 11
-        assert_eq!(h.count(), 5);
-        assert_eq!(h.sum(), 1030);
+        let v = h.value();
+        assert_eq!(v.buckets[0], 1); // the zero
+        assert_eq!(v.buckets[1], 1); // 1
+        assert_eq!(v.buckets[2], 2); // 2 and 3
+        assert_eq!(v.buckets[11], 1); // 1024 = 2^10 → bucket 11
+        assert_eq!(v.count, 5);
+        assert_eq!(v.sum, 1030);
     }
 
     #[test]
@@ -215,8 +229,8 @@ mod tests {
         let h = HistogramCell::new();
         h.record(u64::MAX);
         h.record(u64::MAX);
-        assert_eq!(h.sum(), u64::MAX);
-        assert_eq!(h.count(), 2);
+        assert_eq!(h.value().sum, u64::MAX);
+        assert_eq!(h.value().count, 2);
     }
 
     #[test]

@@ -8,8 +8,9 @@
 //! so on. The paper's Table II is produced entirely from two of these
 //! counters (`OutOfSequenceMessages` and `MatchTime`).
 //!
-//! Counters are cache-line padded relaxed atomics so that updating them from
-//! many threads never introduces the very contention the study measures.
+//! Counters are relaxed atomics in per-thread cache-padded shards, merged on
+//! read, so that updating them from many threads never introduces the very
+//! contention the study measures.
 //!
 //! # Example
 //!
@@ -33,12 +34,14 @@ mod timer;
 mod watermark;
 
 pub use counter::Counter;
-pub use histogram::{bucket_for, bucket_upper_bound, Histogram, HistogramCell, HISTOGRAM_BUCKETS};
+pub use histogram::{
+    bucket_for, bucket_upper_bound, Histogram, HistogramCell, HistogramValue, HISTOGRAM_BUCKETS,
+};
 pub use series::SpcSeries;
 pub use set::SpcSet;
 pub use snapshot::SpcSnapshot;
 pub use timer::ScopedTimer;
-pub use watermark::{Watermark, WatermarkCell};
+pub use watermark::{Watermark, WatermarkCell, WatermarkValue};
 
 #[cfg(test)]
 mod tests;

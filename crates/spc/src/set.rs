@@ -1,28 +1,74 @@
 //! The live counter storage.
 
-use fairmpi_sync::CachePadded;
+use fairmpi_sync::{thread_shard, CachePadded, SHARDS};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::{Counter, Histogram, HistogramCell, SpcSnapshot, Watermark, WatermarkCell};
+use crate::{
+    Counter, Histogram, HistogramCell, HistogramValue, SpcSnapshot, Watermark, WatermarkCell,
+    WatermarkValue,
+};
+
+/// One thread's copy of every counter, watermark and histogram.
+#[derive(Debug)]
+struct Shard {
+    counters: [AtomicU64; Counter::COUNT],
+    watermarks: [WatermarkCell; Watermark::COUNT],
+    histograms: [HistogramCell; Histogram::COUNT],
+}
+
+impl Shard {
+    const fn new() -> Self {
+        Self {
+            counters: [const { AtomicU64::new(0) }; Counter::COUNT],
+            watermarks: [const { WatermarkCell::new() }; Watermark::COUNT],
+            histograms: [const { HistogramCell::new() }; Histogram::COUNT],
+        }
+    }
+
+    fn reset(&self) {
+        for c in &self.counters {
+            c.store(0, Ordering::Relaxed);
+        }
+        for w in &self.watermarks {
+            w.reset();
+        }
+        for h in &self.histograms {
+            h.reset();
+        }
+    }
+}
 
 /// A set of live software performance counters, watermarks and histograms.
 ///
-/// One `SpcSet` exists per simulated MPI process. Updates use relaxed atomic
-/// read-modify-write on cache-line padded slots, so concurrent updates from
-/// different threads never share a cache line with each other or with
-/// neighboring counters — the instrumentation must not perturb the very
-/// contention effects the study measures.
+/// One `SpcSet` exists per simulated MPI process. It holds
+/// [`SHARDS`](fairmpi_sync::SHARDS) cache-padded shards, each with every
+/// counter, watermark and histogram, and a thread updates only the shard
+/// [`fairmpi_sync::thread_shard`] names, with a relaxed atomic
+/// read-modify-write. So threads of one process do not bounce counter
+/// cache lines between cores unless more threads are alive than there are
+/// shards; then some share a shard, which is slower but still exact. The
+/// instrumentation must not perturb the very contention effects the study
+/// measures.
+///
+/// Reads merge the shards: counters sum (timers saturating at `u64::MAX`,
+/// high-water marks by max), watermarks take the max of the highs and the
+/// min of the lows, histograms add up.
 ///
 /// Beyond the original monotonic [`Counter`]s, a set carries one
 /// [`WatermarkCell`] per [`Watermark`] (high/low extremes of a level) and
 /// one [`HistogramCell`] per [`Histogram`] (log2-bucket distributions) —
 /// the cell classes behind the `fairmpi-mpit` pvar registry's
 /// HIGHWATERMARK / LOWWATERMARK / HISTOGRAM classes.
-#[derive(Debug)]
 pub struct SpcSet {
-    slots: Box<[CachePadded<AtomicU64>]>,
-    watermarks: Box<[CachePadded<WatermarkCell>]>,
-    histograms: Box<[CachePadded<HistogramCell>]>,
+    shards: Box<[CachePadded<Shard>; SHARDS]>,
+}
+
+impl std::fmt::Debug for SpcSet {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("SpcSet")
+            .field("counters", &self.snapshot())
+            .finish_non_exhaustive()
+    }
 }
 
 impl Default for SpcSet {
@@ -34,29 +80,21 @@ impl Default for SpcSet {
 impl SpcSet {
     /// Create a zeroed counter set.
     pub fn new() -> Self {
-        let slots = (0..Counter::COUNT)
-            .map(|_| CachePadded::new(AtomicU64::new(0)))
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
-        let watermarks = (0..Watermark::COUNT)
-            .map(|_| CachePadded::new(WatermarkCell::new()))
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
-        let histograms = (0..Histogram::COUNT)
-            .map(|_| CachePadded::new(HistogramCell::new()))
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
         Self {
-            slots,
-            watermarks,
-            histograms,
+            shards: Box::new([const { CachePadded::new(Shard::new()) }; SHARDS]),
         }
+    }
+
+    /// The calling thread's shard.
+    #[inline]
+    fn local(&self) -> &Shard {
+        &self.shards[thread_shard()]
     }
 
     /// Add `delta` to a counter.
     #[inline]
     pub fn add(&self, counter: Counter, delta: u64) {
-        self.slots[counter.index()].fetch_add(delta, Ordering::Relaxed);
+        self.local().counters[counter.index()].fetch_add(delta, Ordering::Relaxed);
     }
 
     /// Add `delta` to a counter, saturating at `u64::MAX` instead of
@@ -64,7 +102,7 @@ impl SpcSet {
     /// the nanosecond sum must pin at the ceiling, not report a tiny total.
     #[inline]
     pub fn add_saturating(&self, counter: Counter, delta: u64) {
-        self.slots[counter.index()]
+        self.local().counters[counter.index()]
             .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| {
                 Some(v.saturating_add(delta))
             })
@@ -80,41 +118,55 @@ impl SpcSet {
     /// Raise a high-water-mark counter to at least `value`.
     #[inline]
     pub fn record_max(&self, counter: Counter, value: u64) {
-        self.slots[counter.index()].fetch_max(value, Ordering::Relaxed);
+        self.local().counters[counter.index()].fetch_max(value, Ordering::Relaxed);
     }
 
-    /// Current value of one counter.
-    #[inline]
+    /// Current value of one counter, merged over the shards.
     pub fn get(&self, counter: Counter) -> u64 {
-        self.slots[counter.index()].load(Ordering::Relaxed)
+        let values = self
+            .shards
+            .iter()
+            .map(|s| s.counters[counter.index()].load(Ordering::Relaxed));
+        if counter.is_high_water() {
+            values.max().unwrap_or(0)
+        } else if counter.is_timer() {
+            values.fold(0, u64::saturating_add)
+        } else {
+            values.fold(0, u64::wrapping_add)
+        }
     }
 
     /// Record one observation of a watermarked level (updates both the high
     /// and the low extreme).
     #[inline]
     pub fn record_level(&self, watermark: Watermark, level: u64) {
-        self.watermarks[watermark.index()].record(level);
+        self.local().watermarks[watermark.index()].record(level);
     }
 
-    /// The live watermark cell for one level.
-    #[inline]
-    pub fn watermark(&self, watermark: Watermark) -> &WatermarkCell {
-        &self.watermarks[watermark.index()]
+    /// Both extremes of one level, merged over the shards.
+    pub fn watermark(&self, watermark: Watermark) -> WatermarkValue {
+        self.shards
+            .iter()
+            .map(|s| s.watermarks[watermark.index()].value())
+            .fold(WatermarkValue::default(), WatermarkValue::merge)
     }
 
     /// Record one observation into a histogram.
     #[inline]
     pub fn record_hist(&self, histogram: Histogram, value: u64) {
-        self.histograms[histogram.index()].record(value);
+        self.local().histograms[histogram.index()].record(value);
     }
 
-    /// The live histogram cell for one distribution.
-    #[inline]
-    pub fn histogram(&self, histogram: Histogram) -> &HistogramCell {
-        &self.histograms[histogram.index()]
+    /// One distribution, merged over the shards.
+    pub fn histogram(&self, histogram: Histogram) -> HistogramValue {
+        self.shards
+            .iter()
+            .map(|s| s.histograms[histogram.index()].value())
+            .fold(HistogramValue::default(), HistogramValue::merge)
     }
 
-    /// Reset every counter, watermark and histogram to its initial state.
+    /// Reset every counter, watermark and histogram of every shard to its
+    /// initial state.
     ///
     /// # Concurrency contract
     ///
@@ -122,28 +174,23 @@ impl SpcSet {
     /// (or [`get`]) racing a `reset` observes, **per slot**, either the
     /// pre-reset value or a post-reset value (zero plus whatever updates
     /// landed after that slot was cleared) — never a torn mix of bits.
-    /// There is **no atomicity across slots**: a concurrent snapshot may
-    /// combine pre-reset values for some counters with post-reset values
-    /// for others, and updates arriving while `reset` walks the slots may
-    /// survive in slots the walk already passed. As with OMPI's SPC reset,
-    /// call it while the measured phase is quiescent when cross-counter
-    /// consistency matters.
+    /// There is **no atomicity across slots** (or across one counter's
+    /// shards): a concurrent snapshot may combine pre-reset values for
+    /// some counters with post-reset values for others, and updates
+    /// arriving while `reset` walks the slots may survive in slots the walk
+    /// already passed. As with OMPI's SPC reset, call it while the measured
+    /// phase is quiescent when cross-counter consistency matters.
     ///
     /// [`snapshot`]: Self::snapshot
     /// [`get`]: Self::get
     pub fn reset(&self) {
-        for slot in self.slots.iter() {
-            slot.store(0, Ordering::Relaxed);
-        }
-        for w in self.watermarks.iter() {
-            w.reset();
-        }
-        for h in self.histograms.iter() {
-            h.reset();
+        for shard in self.shards.iter() {
+            shard.reset();
         }
     }
 
-    /// Capture a point-in-time copy of all counters.
+    /// Capture a point-in-time copy of all counters, merged over the
+    /// shards.
     ///
     /// The snapshot is not atomic across counters; as with OMPI's SPCs it is
     /// intended to be read while the measured phase is quiescent. Concurrent
@@ -151,11 +198,7 @@ impl SpcSet {
     /// well-formed (see the reset concurrency contract), but values from
     /// before and after the reset may appear side by side.
     pub fn snapshot(&self) -> SpcSnapshot {
-        let mut values = [0u64; Counter::COUNT];
-        for (i, slot) in self.slots.iter().enumerate() {
-            values[i] = slot.load(Ordering::Relaxed);
-        }
-        SpcSnapshot::from_values(values)
+        SpcSnapshot::from_values(Counter::ALL.map(|c| self.get(c)))
     }
 }
 
@@ -219,10 +262,10 @@ mod tests {
         spc.record_level(Watermark::UnexpectedQueueDepth, 12);
         spc.record_hist(Histogram::MatchPostAttempts, 5);
         assert_eq!(spc.watermark(Watermark::UnexpectedQueueDepth).high(), 12);
-        assert_eq!(spc.histogram(Histogram::MatchPostAttempts).count(), 1);
+        assert_eq!(spc.histogram(Histogram::MatchPostAttempts).count, 1);
         spc.reset();
         assert_eq!(spc.watermark(Watermark::UnexpectedQueueDepth).high(), 0);
-        assert_eq!(spc.histogram(Histogram::MatchPostAttempts).count(), 0);
+        assert_eq!(spc.histogram(Histogram::MatchPostAttempts).count, 0);
     }
 
     /// The documented reset contract: per-slot values seen by a snapshot
@@ -271,6 +314,100 @@ mod tests {
         // Quiescent now: one final reset leaves exactly zero.
         spc.reset();
         assert_eq!(spc.get(Counter::MessagesSent), 0);
+    }
+
+    /// Run `a` and `b` on two threads that are alive at once, so each
+    /// updates its own shard (unless more than `SHARDS` threads are alive
+    /// in the test process; then the merged values below still hold).
+    fn on_two_threads(
+        spc: &SpcSet,
+        a: impl FnOnce(&SpcSet) + Send,
+        b: impl FnOnce(&SpcSet) + Send,
+    ) {
+        let both = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                a(spc);
+                both.wait();
+            });
+            s.spawn(|| {
+                b(spc);
+                both.wait();
+            });
+        });
+    }
+
+    #[test]
+    fn high_water_counters_merge_by_max_not_sum() {
+        let spc = SpcSet::new();
+        on_two_threads(
+            &spc,
+            |s| s.record_max(Counter::MaxPostedRecvQueueLen, 7),
+            |s| s.record_max(Counter::MaxPostedRecvQueueLen, 3),
+        );
+        assert_eq!(spc.get(Counter::MaxPostedRecvQueueLen), 7);
+        assert_eq!(spc.snapshot()[Counter::MaxPostedRecvQueueLen], 7);
+    }
+
+    #[test]
+    fn watermarks_merge_highs_by_max_and_lows_by_min() {
+        let spc = SpcSet::new();
+        let w = Watermark::UnexpectedQueueDepth;
+        on_two_threads(&spc, |s| s.record_level(w, 5), |s| s.record_level(w, 7));
+        let merged = spc.watermark(w);
+        // The untouched shards' sentinel never drags the low to 0.
+        assert_eq!((merged.low(), merged.high()), (5, 7));
+        assert!(!spc.watermark(Watermark::OffloadQueueDepth).touched());
+    }
+
+    #[test]
+    fn histograms_add_across_shards() {
+        let spc = SpcSet::new();
+        let h = Histogram::DrainBatchSize;
+        on_two_threads(
+            &spc,
+            |s| {
+                s.record_hist(h, 1);
+                s.record_hist(h, 1);
+            },
+            |s| s.record_hist(h, 1024),
+        );
+        let merged = spc.histogram(h);
+        assert_eq!((merged.count, merged.sum), (3, 1026));
+        assert_eq!(merged.buckets[1], 2);
+        assert_eq!(merged.buckets[11], 1);
+    }
+
+    #[test]
+    fn add_saturating_pins_at_ceiling_after_the_merge() {
+        let spc = SpcSet::new();
+        on_two_threads(
+            &spc,
+            |s| s.add(Counter::MatchTimeNanos, u64::MAX - 10),
+            |s| s.add_saturating(Counter::MatchTimeNanos, 100),
+        );
+        assert_eq!(spc.get(Counter::MatchTimeNanos), u64::MAX);
+        assert_eq!(spc.snapshot()[Counter::MatchTimeNanos], u64::MAX);
+    }
+
+    #[test]
+    fn reset_clears_every_shard() {
+        let spc = SpcSet::new();
+        let touch = |s: &SpcSet| {
+            s.inc(Counter::MessagesSent);
+            s.record_max(Counter::MaxUnexpectedQueueLen, 4);
+            s.record_level(Watermark::PostedRecvQueueDepth, 2);
+            s.record_hist(Histogram::MatchPostAttempts, 3);
+        };
+        on_two_threads(&spc, touch, touch);
+        assert_eq!(spc.get(Counter::MessagesSent), 2);
+        spc.reset();
+        assert!(Counter::ALL.iter().all(|&c| spc.get(c) == 0));
+        assert!(!spc.watermark(Watermark::PostedRecvQueueDepth).touched());
+        assert_eq!(
+            spc.histogram(Histogram::MatchPostAttempts),
+            HistogramValue::default()
+        );
     }
 
     #[test]

@@ -105,24 +105,28 @@ impl WatermarkCell {
     /// Highest level recorded (0 if never recorded).
     #[inline]
     pub fn high(&self) -> u64 {
-        self.high.load(Ordering::Relaxed)
+        self.value().high()
     }
 
     /// Lowest level recorded (0 if never recorded).
     #[inline]
     pub fn low(&self) -> u64 {
-        let v = self.low.load(Ordering::Relaxed);
-        if v == u64::MAX {
-            0
-        } else {
-            v
-        }
+        self.value().low()
     }
 
     /// Whether any sample was recorded.
     #[inline]
     pub fn touched(&self) -> bool {
-        self.high.load(Ordering::Relaxed) != 0 || self.low.load(Ordering::Relaxed) != u64::MAX
+        self.value().touched()
+    }
+
+    /// Point-in-time copy of both extremes.
+    #[inline]
+    pub fn value(&self) -> WatermarkValue {
+        WatermarkValue {
+            high: self.high.load(Ordering::Relaxed),
+            low: self.low.load(Ordering::Relaxed),
+        }
     }
 
     /// Forget all samples (see [`crate::SpcSet::reset`] for the concurrency
@@ -130,6 +134,51 @@ impl WatermarkCell {
     pub fn reset(&self) {
         self.high.store(0, Ordering::Relaxed);
         self.low.store(u64::MAX, Ordering::Relaxed);
+    }
+}
+
+/// The extremes of a level at one point in time; what
+/// [`crate::SpcSet::watermark`] returns after merging its shards.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct WatermarkValue {
+    high: u64,
+    /// `u64::MAX` until some sample is folded in, like the cell's.
+    low: u64,
+}
+
+impl Default for WatermarkValue {
+    fn default() -> Self {
+        WatermarkCell::new().value()
+    }
+}
+
+impl WatermarkValue {
+    /// Highest level recorded (0 if never recorded).
+    pub fn high(self) -> u64 {
+        self.high
+    }
+
+    /// Lowest level recorded (0 if never recorded).
+    pub fn low(self) -> u64 {
+        if self.low == u64::MAX {
+            0
+        } else {
+            self.low
+        }
+    }
+
+    /// Whether any sample was recorded.
+    pub fn touched(self) -> bool {
+        self.high != 0 || self.low != u64::MAX
+    }
+
+    /// The extremes over both sets of samples. The raw lows are merged, so
+    /// an untouched side (low `u64::MAX`) never drags the low to 0.
+    pub fn merge(self, other: Self) -> Self {
+        Self {
+            high: self.high.max(other.high),
+            low: self.low.min(other.low),
+        }
     }
 }
 
@@ -186,6 +235,20 @@ mod tests {
         }
         assert_eq!(c.high(), 8000, "true max across 8 threads");
         assert_eq!(c.low(), 1, "true min across 8 threads");
+    }
+
+    #[test]
+    fn merge_keeps_the_untouched_sentinel() {
+        let (a, b) = (WatermarkCell::new(), WatermarkCell::new());
+        a.record(5);
+        let merged = a.value().merge(b.value());
+        assert_eq!((merged.low(), merged.high()), (5, 5));
+        b.record(7);
+        let merged = b.value().merge(a.value());
+        assert_eq!((merged.low(), merged.high()), (5, 7));
+        assert!(!WatermarkValue::default()
+            .merge(WatermarkValue::default())
+            .touched());
     }
 
     #[test]

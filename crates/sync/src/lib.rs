@@ -27,9 +27,14 @@
 //!   cargo feature unification.
 //!
 //! The three backends expose one API, so porting a crate is an import swap.
+//!
+//! [`thread_shard`] gives each live thread a small dense index for
+//! per-thread shards of per-rank state; under the `model` backend it is the
+//! model thread id, so schedules stay replayable.
 
 mod cache_padded;
 mod primitives;
+mod shard;
 
 pub mod atomic;
 #[cfg(feature = "model")]
@@ -39,3 +44,4 @@ pub use cache_padded::CachePadded;
 pub use primitives::{
     Condvar, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard, TryLock,
 };
+pub use shard::{thread_shard, SHARDS};
