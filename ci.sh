@@ -91,6 +91,16 @@ cmp results/fig_degradation.csv "$smoke_dir/results/fig_degradation.csv"
 "$bin/fairmpi-report" results/BENCH_fig_degradation.json \
     "$smoke_dir/results/BENCH_fig_degradation.json" --noise 0.05
 
+echo "== RMA-MT bit-identity =="
+# The fig6/fig7 grids are deterministic under virtual time too (about 5 s
+# together): fresh runs must reproduce all ten committed CSVs byte for
+# byte, with every printed check passing.
+(cd "$smoke_dir" && "$bin/fig6" > fig6.log && "$bin/fig7" > fig7.log)
+! grep -q "FAIL" "$smoke_dir/fig6.log" "$smoke_dir/fig7.log"
+for csv in results/fig6_*.csv results/fig7_*.csv; do
+    cmp "$csv" "$smoke_dir/$csv"
+done
+
 echo "== chaos soak (seeded fault injection) =="
 # Three seeds of the degradation flagship on a trimmed grid under a 10%
 # wire drop. Each run must terminate with every message delivered exactly
