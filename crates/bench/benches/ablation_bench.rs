@@ -4,8 +4,8 @@
 //! on the native runtime.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use fairmpi::{DesignConfig, World};
-use fairmpi_vsim::{Machine, MachinePreset, MultirateSim, SimAssignment, SimDesign, SimProgress};
+use fairmpi::{Assignment, DesignConfig, ProgressMode, World};
+use fairmpi_vsim::{Machine, MachinePreset, MultirateSim, SimDesign};
 
 fn multirate(pairs: usize, instances: usize, window: usize, machine: Machine) -> f64 {
     MultirateSim {
@@ -15,8 +15,8 @@ fn multirate(pairs: usize, instances: usize, window: usize, machine: Machine) ->
         iterations: 4,
         design: SimDesign {
             instances,
-            assignment: SimAssignment::Dedicated,
-            progress: SimProgress::Serial,
+            assignment: Assignment::Dedicated,
+            progress: ProgressMode::Serial,
             ..SimDesign::baseline()
         },
         seed: 1,

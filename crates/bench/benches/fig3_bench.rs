@@ -5,23 +5,18 @@
 //! figure comes from `cargo run --release -p fairmpi-bench --bin fig3`.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
+use fairmpi::{Assignment, ProgressMode};
 use fairmpi_bench::figures::presets;
 use fairmpi_vsim::workload::multirate::SimMatchLayout;
-use fairmpi_vsim::{Machine, MachinePreset, MultirateSim, SimAssignment, SimProgress};
+use fairmpi_vsim::{Machine, MachinePreset, MultirateSim};
 
-fn run(pairs: usize, progress: SimProgress, matching: SimMatchLayout, instances: usize) -> f64 {
+fn run(pairs: usize, progress: ProgressMode, matching: SimMatchLayout, instances: usize) -> f64 {
     MultirateSim {
         machine: Machine::preset(MachinePreset::Alembert),
         pairs,
         window: 32,
         iterations: 4,
-        design: presets::cell(
-            instances,
-            SimAssignment::Dedicated,
-            progress,
-            matching,
-            false,
-        ),
+        design: presets::cell(instances, Assignment::Dedicated, progress, matching, false),
         seed: 1,
         cost: None,
     }
@@ -33,9 +28,9 @@ fn bench_fig3(c: &mut Criterion) {
     let mut group = c.benchmark_group("fig3");
     group.sample_size(10);
     for (panel, progress, matching) in [
-        ('a', SimProgress::Serial, SimMatchLayout::SingleComm),
-        ('b', SimProgress::Concurrent, SimMatchLayout::SingleComm),
-        ('c', SimProgress::Concurrent, SimMatchLayout::CommPerPair),
+        ('a', ProgressMode::Serial, SimMatchLayout::SingleComm),
+        ('b', ProgressMode::Concurrent, SimMatchLayout::SingleComm),
+        ('c', ProgressMode::Concurrent, SimMatchLayout::CommPerPair),
     ] {
         for pairs in [4usize, 16] {
             let rate = run(pairs, progress, matching, 20);

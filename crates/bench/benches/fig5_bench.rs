@@ -4,8 +4,9 @@
 //! `cargo bench`. Full resolution: `--bin fig5`.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use fairmpi::{Assignment, ProgressMode};
 use fairmpi_vsim::workload::multirate::SimMatchLayout;
-use fairmpi_vsim::{Machine, MachinePreset, MultirateSim, SimAssignment, SimDesign, SimProgress};
+use fairmpi_vsim::{Machine, MachinePreset, MultirateSim, SimDesign};
 
 fn run(design: SimDesign) -> f64 {
     MultirateSim {
@@ -30,7 +31,7 @@ fn bench_fig5(c: &mut Criterion) {
             "ompi_thread_cris",
             SimDesign {
                 instances: 20,
-                assignment: SimAssignment::Dedicated,
+                assignment: Assignment::Dedicated,
                 ..base
             },
         ),
@@ -38,8 +39,8 @@ fn bench_fig5(c: &mut Criterion) {
             "ompi_thread_cris_star",
             SimDesign {
                 instances: 20,
-                assignment: SimAssignment::Dedicated,
-                progress: SimProgress::Concurrent,
+                assignment: Assignment::Dedicated,
+                progress: ProgressMode::Concurrent,
                 matching: SimMatchLayout::CommPerPair,
                 ..base
             },

@@ -3,9 +3,10 @@
 //! resolution: `cargo run --release -p fairmpi-bench --bin fig6`.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use fairmpi_vsim::{Machine, MachinePreset, RmamtSim, SimAssignment, SimProgress};
+use fairmpi::{Assignment, ProgressMode};
+use fairmpi_vsim::{Machine, MachinePreset, RmamtSim};
 
-fn run(threads: usize, msg_size: usize, instances: usize, assignment: SimAssignment) -> f64 {
+fn run(threads: usize, msg_size: usize, instances: usize, assignment: Assignment) -> f64 {
     RmamtSim {
         machine: Machine::preset(MachinePreset::TrinititeHaswell),
         threads,
@@ -13,7 +14,7 @@ fn run(threads: usize, msg_size: usize, instances: usize, assignment: SimAssignm
         ops_per_thread: 200,
         instances,
         assignment,
-        progress: SimProgress::Serial,
+        progress: ProgressMode::Serial,
         seed: 2,
     }
     .run()
@@ -25,9 +26,9 @@ fn bench_fig6(c: &mut Criterion) {
     group.sample_size(10);
     for msg_size in [1usize, 16 * 1024] {
         for (mode, instances, assignment) in [
-            ("single", 1usize, SimAssignment::Dedicated),
-            ("dedicated", 32, SimAssignment::Dedicated),
-            ("round_robin", 32, SimAssignment::RoundRobin),
+            ("single", 1usize, Assignment::Dedicated),
+            ("dedicated", 32, Assignment::Dedicated),
+            ("round_robin", 32, Assignment::RoundRobin),
         ] {
             for threads in [4usize, 32] {
                 let rate = run(threads, msg_size, instances, assignment);

@@ -3,9 +3,10 @@
 //! resolution: `cargo run --release -p fairmpi-bench --bin fig7`.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use fairmpi_vsim::{Machine, MachinePreset, RmamtSim, SimAssignment, SimProgress};
+use fairmpi::{Assignment, ProgressMode};
+use fairmpi_vsim::{Machine, MachinePreset, RmamtSim};
 
-fn run(threads: usize, instances: usize, assignment: SimAssignment) -> f64 {
+fn run(threads: usize, instances: usize, assignment: Assignment) -> f64 {
     RmamtSim {
         machine: Machine::preset(MachinePreset::TrinititeKnl),
         threads,
@@ -13,7 +14,7 @@ fn run(threads: usize, instances: usize, assignment: SimAssignment) -> f64 {
         ops_per_thread: 200,
         instances,
         assignment,
-        progress: SimProgress::Serial,
+        progress: ProgressMode::Serial,
         seed: 2,
     }
     .run()
@@ -24,9 +25,9 @@ fn bench_fig7(c: &mut Criterion) {
     let mut group = c.benchmark_group("fig7");
     group.sample_size(10);
     for (mode, instances, assignment) in [
-        ("single", 1usize, SimAssignment::Dedicated),
-        ("dedicated", 72, SimAssignment::Dedicated),
-        ("round_robin", 72, SimAssignment::RoundRobin),
+        ("single", 1usize, Assignment::Dedicated),
+        ("dedicated", 72, Assignment::Dedicated),
+        ("round_robin", 72, Assignment::RoundRobin),
     ] {
         for threads in [8usize, 64] {
             let rate = run(threads, instances, assignment);

@@ -5,26 +5,19 @@
 //! --bin table2`.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use fairmpi::{Assignment, ProgressMode};
 use fairmpi_bench::figures::presets;
 use fairmpi_spc::Counter;
 use fairmpi_vsim::workload::multirate::SimMatchLayout;
-use fairmpi_vsim::{
-    Machine, MachinePreset, MultirateResult, MultirateSim, SimAssignment, SimProgress,
-};
+use fairmpi_vsim::{Machine, MachinePreset, MultirateResult, MultirateSim};
 
-fn run(progress: SimProgress, matching: SimMatchLayout, instances: usize) -> MultirateResult {
+fn run(progress: ProgressMode, matching: SimMatchLayout, instances: usize) -> MultirateResult {
     MultirateSim {
         machine: Machine::preset(MachinePreset::Alembert),
         pairs: 20,
         window: 32,
         iterations: 4,
-        design: presets::cell(
-            instances,
-            SimAssignment::Dedicated,
-            progress,
-            matching,
-            false,
-        ),
+        design: presets::cell(instances, Assignment::Dedicated, progress, matching, false),
         seed: 0xBEEF,
         cost: None,
     }
@@ -35,15 +28,15 @@ fn bench_table2(c: &mut Criterion) {
     let mut group = c.benchmark_group("table2");
     group.sample_size(10);
     for (name, progress, matching) in [
-        ("serial", SimProgress::Serial, SimMatchLayout::SingleComm),
+        ("serial", ProgressMode::Serial, SimMatchLayout::SingleComm),
         (
             "concurrent",
-            SimProgress::Concurrent,
+            ProgressMode::Concurrent,
             SimMatchLayout::SingleComm,
         ),
         (
             "concurrent_matching",
-            SimProgress::Concurrent,
+            ProgressMode::Concurrent,
             SimMatchLayout::CommPerPair,
         ),
     ] {

@@ -4,20 +4,21 @@
 //! Usage: `diag [pairs] [instances] [serial|concurrent] [single|perpair]
 //! [--trace out.json] [--spc-series out.csv]`
 
+use fairmpi::{Assignment, ProgressMode};
 use fairmpi_bench::figures::presets;
 use fairmpi_bench::observe::Observe;
 use fairmpi_bench::report::{BenchReport, Better, Metric};
 use fairmpi_spc::Counter;
 use fairmpi_vsim::workload::multirate::SimMatchLayout;
-use fairmpi_vsim::{Machine, MachinePreset, MultirateSim, SimAssignment, SimProgress};
+use fairmpi_vsim::{Machine, MachinePreset, MultirateSim};
 
 fn main() {
     let (observe, args) = Observe::from_env();
     let pairs: usize = args.get(1).map(|s| s.parse().unwrap()).unwrap_or(20);
     let instances: usize = args.get(2).map(|s| s.parse().unwrap()).unwrap_or(20);
     let progress = match args.get(3).map(|s| s.as_str()) {
-        Some("concurrent") => SimProgress::Concurrent,
-        _ => SimProgress::Serial,
+        Some("concurrent") => ProgressMode::Concurrent,
+        _ => ProgressMode::Serial,
     };
     let matching = match args.get(4).map(|s| s.as_str()) {
         Some("perpair") => SimMatchLayout::CommPerPair,
@@ -28,13 +29,7 @@ fn main() {
         pairs,
         window: 128,
         iterations: 20,
-        design: presets::cell(
-            instances,
-            SimAssignment::Dedicated,
-            progress,
-            matching,
-            false,
-        ),
+        design: presets::cell(instances, Assignment::Dedicated, progress, matching, false),
         seed: 0xD1A6,
         cost: None,
     };

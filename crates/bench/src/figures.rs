@@ -1,10 +1,8 @@
 //! Experiment drivers, one per paper figure/table.
 
+use fairmpi::{Assignment, ProgressMode};
 use fairmpi_vsim::workload::multirate::SimMatchLayout;
-use fairmpi_vsim::{
-    CostModel, Machine, MachinePreset, MultirateSim, RmamtSim, SimAssignment, SimDesign,
-    SimProgress,
-};
+use fairmpi_vsim::{CostModel, Machine, MachinePreset, MultirateSim, RmamtSim, SimDesign};
 
 use crate::stats::over_reps;
 use crate::{env_usize, Point, Series};
@@ -15,16 +13,17 @@ use crate::{env_usize, Point, Series};
 /// here instead of re-spelling ten-field literals — one place to extend
 /// when the design space grows a new axis.
 pub mod presets {
+    use fairmpi::{Assignment, ProgressMode};
     use fairmpi_vsim::workload::multirate::SimMatchLayout;
-    use fairmpi_vsim::{SimAssignment, SimDesign, SimProgress};
+    use fairmpi_vsim::SimDesign;
 
     /// One cell of the instance-count × assignment grids: everything
     /// defaulted except the swept axes. Overtaking implies `MPI_ANY_TAG`
     /// receives, as in the paper's Fig. 4 runs.
     pub fn cell(
         instances: usize,
-        assignment: SimAssignment,
-        progress: SimProgress,
+        assignment: Assignment,
+        progress: ProgressMode,
         matching: SimMatchLayout,
         overtaking: bool,
     ) -> SimDesign {
@@ -49,8 +48,8 @@ pub mod presets {
     pub fn cris(n: usize) -> SimDesign {
         cell(
             n,
-            SimAssignment::Dedicated,
-            SimProgress::Serial,
+            Assignment::Dedicated,
+            ProgressMode::Serial,
             SimMatchLayout::SingleComm,
             false,
         )
@@ -61,8 +60,8 @@ pub mod presets {
     pub fn cris_star(n: usize) -> SimDesign {
         cell(
             n,
-            SimAssignment::Dedicated,
-            SimProgress::Concurrent,
+            Assignment::Dedicated,
+            ProgressMode::Concurrent,
             SimMatchLayout::CommPerPair,
             false,
         )
@@ -142,7 +141,7 @@ fn sweep(machine: &Machine, label: String, design: SimDesign, cost: Option<CostM
 
 /// The instance-count × assignment grid shared by Figs. 3 and 4.
 fn multirate_grid(
-    progress: SimProgress,
+    progress: ProgressMode,
     matching: SimMatchLayout,
     overtaking: bool,
 ) -> Vec<Series> {
@@ -150,8 +149,8 @@ fn multirate_grid(
     let mut series = Vec::new();
     for &instances in &[1usize, 10, 20] {
         for &(assignment, mode_name) in &[
-            (SimAssignment::RoundRobin, "round-robin"),
-            (SimAssignment::Dedicated, "dedicated"),
+            (Assignment::RoundRobin, "round-robin"),
+            (Assignment::Dedicated, "dedicated"),
         ] {
             let design = presets::cell(instances, assignment, progress, matching, overtaking);
             series.push(sweep(
@@ -165,11 +164,11 @@ fn multirate_grid(
     series
 }
 
-fn panel_params(panel: char) -> (SimProgress, SimMatchLayout) {
+fn panel_params(panel: char) -> (ProgressMode, SimMatchLayout) {
     match panel {
-        'a' => (SimProgress::Serial, SimMatchLayout::SingleComm),
-        'b' => (SimProgress::Concurrent, SimMatchLayout::SingleComm),
-        'c' => (SimProgress::Concurrent, SimMatchLayout::CommPerPair),
+        'a' => (ProgressMode::Serial, SimMatchLayout::SingleComm),
+        'b' => (ProgressMode::Concurrent, SimMatchLayout::SingleComm),
+        'c' => (ProgressMode::Concurrent, SimMatchLayout::CommPerPair),
         _ => panic!("panel must be a, b, or c"),
     }
 }
@@ -192,7 +191,7 @@ pub fn fig3_flagship(panel: char) -> MultirateSim {
         pairs: max_pairs(),
         window: 128,
         iterations: iters(),
-        design: presets::cell(1, SimAssignment::RoundRobin, progress, matching, false),
+        design: presets::cell(1, Assignment::RoundRobin, progress, matching, false),
         seed: 1,
         cost: None,
     }
@@ -386,13 +385,13 @@ fn rma_figure(machine: &Machine, thread_counts: &[usize], instances: usize) -> V
         .map(|&msg_size| {
             let mut series = Vec::new();
             for &(progress, pname) in &[
-                (SimProgress::Serial, "serial"),
-                (SimProgress::Concurrent, "concurrent"),
+                (ProgressMode::Serial, "serial"),
+                (ProgressMode::Concurrent, "concurrent"),
             ] {
                 for &(inst, assignment, mname) in &[
-                    (1usize, SimAssignment::Dedicated, "single"),
-                    (instances, SimAssignment::Dedicated, "dedicated"),
-                    (instances, SimAssignment::RoundRobin, "round-robin"),
+                    (1usize, Assignment::Dedicated, "single"),
+                    (instances, Assignment::Dedicated, "dedicated"),
+                    (instances, Assignment::RoundRobin, "round-robin"),
                 ] {
                     let points = thread_counts
                         .iter()
@@ -430,8 +429,8 @@ fn rma_figure(machine: &Machine, thread_counts: &[usize], instances: usize) -> V
                 msg_size,
                 ops_per_thread: 1,
                 instances: 1,
-                assignment: SimAssignment::Dedicated,
-                progress: SimProgress::Serial,
+                assignment: Assignment::Dedicated,
+                progress: ProgressMode::Serial,
                 seed: 0,
             }
             .theoretical_peak();
@@ -529,8 +528,8 @@ pub fn table2_flagship(iterations: usize) -> MultirateSim {
         iterations,
         design: presets::cell(
             1,
-            SimAssignment::Dedicated,
-            SimProgress::Serial,
+            Assignment::Dedicated,
+            ProgressMode::Serial,
             SimMatchLayout::SingleComm,
             false,
         ),
@@ -561,20 +560,20 @@ pub struct Table2Cell {
 /// `iterations` of 1010 reproduces the paper's 2,585,600-message total.
 pub fn table2(iterations: usize) -> Vec<Table2Cell> {
     let machine = Machine::preset(MachinePreset::Alembert);
-    let groups: [(&'static str, SimProgress, SimMatchLayout); 3] = [
+    let groups: [(&'static str, ProgressMode, SimMatchLayout); 3] = [
         (
             "Serial Progress",
-            SimProgress::Serial,
+            ProgressMode::Serial,
             SimMatchLayout::SingleComm,
         ),
         (
             "Concurrent Progress",
-            SimProgress::Concurrent,
+            ProgressMode::Concurrent,
             SimMatchLayout::SingleComm,
         ),
         (
             "Concurrent Progress + Matching",
-            SimProgress::Concurrent,
+            ProgressMode::Concurrent,
             SimMatchLayout::CommPerPair,
         ),
     ];
@@ -586,13 +585,7 @@ pub fn table2(iterations: usize) -> Vec<Table2Cell> {
                 pairs: 20,
                 window: 128,
                 iterations,
-                design: presets::cell(
-                    instances,
-                    SimAssignment::Dedicated,
-                    progress,
-                    matching,
-                    false,
-                ),
+                design: presets::cell(instances, Assignment::Dedicated, progress, matching, false),
                 seed: 0xBEEF,
                 cost: None,
             }

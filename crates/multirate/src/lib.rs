@@ -18,13 +18,8 @@
 
 use std::time::Instant;
 
-use fairmpi::{
-    Assignment, Communicator, DesignConfig, LockModel, MatchMode, Proc, ProgressMode, Rank,
-    SpcSnapshot, World, ANY_TAG,
-};
-use fairmpi_vsim::{
-    Machine, MultirateResult, MultirateSim, SimAssignment, SimDesign, SimMatchLayout, SimProgress,
-};
+use fairmpi::{Communicator, DesignConfig, LockModel, Proc, Rank, SpcSnapshot, World, ANY_TAG};
+use fairmpi_vsim::{Machine, MultirateResult, MultirateSim, SimDesign, SimMatchLayout};
 
 /// How communication entities map onto ranks (paper Fig. 2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -195,23 +190,13 @@ fn build_world(cfg: &MultirateConfig) -> (World, Vec<(Rank, Rank, Communicator)>
 pub fn run_virtual(cfg: &MultirateConfig, machine: &Machine, seed: u64) -> MultirateResult {
     let design = SimDesign {
         instances: cfg.design.num_instances,
-        assignment: match cfg.design.assignment {
-            Assignment::RoundRobin => SimAssignment::RoundRobin,
-            Assignment::Dedicated => SimAssignment::Dedicated,
-        },
-        progress: match cfg.design.progress {
-            ProgressMode::Serial => SimProgress::Serial,
-            ProgressMode::Concurrent => SimProgress::Concurrent,
-        },
+        assignment: cfg.design.assignment,
+        progress: cfg.design.progress,
+        // A global matching queue and a single shared communicator
+        // serialize matching identically in this workload.
         matching: if cfg.comm_per_pair {
             SimMatchLayout::CommPerPair
         } else {
-            // A global matching queue and a single shared communicator
-            // serialize matching identically in this workload.
-            debug_assert!(matches!(
-                cfg.design.matching,
-                MatchMode::PerCommunicator | MatchMode::Global
-            ));
             SimMatchLayout::SingleComm
         },
         allow_overtaking: cfg.design.allow_overtaking,

@@ -10,8 +10,8 @@
 
 use std::time::Instant;
 
-use fairmpi::{Assignment, DesignConfig, ProgressMode, SpcSnapshot, World};
-use fairmpi_vsim::{Machine, RmamtResult, RmamtSim, SimAssignment, SimProgress};
+use fairmpi::{DesignConfig, SpcSnapshot, World};
+use fairmpi_vsim::{Machine, RmamtResult, RmamtSim};
 
 /// Which one-sided operation the threads issue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -133,14 +133,8 @@ pub fn run_virtual(cfg: &RmamtConfig, machine: &Machine, seed: u64) -> RmamtResu
         msg_size: cfg.msg_size,
         ops_per_thread: cfg.ops_per_thread,
         instances: cfg.design.num_instances,
-        assignment: match cfg.design.assignment {
-            Assignment::RoundRobin => SimAssignment::RoundRobin,
-            Assignment::Dedicated => SimAssignment::Dedicated,
-        },
-        progress: match cfg.design.progress {
-            ProgressMode::Serial => SimProgress::Serial,
-            ProgressMode::Concurrent => SimProgress::Concurrent,
-        },
+        assignment: cfg.design.assignment,
+        progress: cfg.design.progress,
         seed,
     }
     .run()

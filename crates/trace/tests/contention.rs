@@ -8,10 +8,7 @@
 #![cfg(feature = "enabled")]
 
 use fairmpi_trace as trace;
-use fairmpi_vsim::{
-    workload::multirate::SimMatchLayout, Machine, MachinePreset, MultirateSim, SimAssignment,
-    SimDesign, SimProgress,
-};
+use fairmpi_vsim::{Machine, MachinePreset, MultirateSim, SimDesign};
 
 #[test]
 fn one_cri_run_ranks_the_instance_lock_top() {
@@ -21,20 +18,8 @@ fn one_cri_run_ranks_the_instance_lock_top() {
         pairs: 20,
         window: 16,
         iterations: 2,
-        design: SimDesign {
-            instances: 1,
-            assignment: SimAssignment::RoundRobin,
-            progress: SimProgress::Serial,
-            matching: SimMatchLayout::SingleComm,
-            allow_overtaking: false,
-            any_tag: false,
-            big_lock: false,
-            process_mode: false,
-            offload_workers: 0,
-            chaos_drop_pm: 0,
-            chaos_dup_pm: 0,
-            chaos_seed: 0,
-        },
+        // One shared CRI, serial progress, one communicator.
+        design: SimDesign::baseline(),
         seed: 7,
         cost: None,
     };

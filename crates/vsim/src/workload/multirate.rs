@@ -6,6 +6,12 @@
 //! **real** matching engine and the **real** send-side sequence counters;
 //! only time, locks and cores are virtual. Out-of-sequence percentages and
 //! match times (Table II) therefore come out of the actual data structures.
+//!
+//! Each protocol step is written once, as a sub-machine the actors embed:
+//! [`Section`] (a request-pool visit or a receive post), [`Injector`]
+//! (lock, inject, ship through the chaos wire, retransmit), [`ProgressPass`]
+//! (try-lock, extract, match over a [`Sweep`]) and [`CmdBatch`] (an offload
+//! worker's command-queue drain).
 
 use std::cell::RefCell;
 use std::collections::{HashSet, VecDeque};
@@ -16,14 +22,16 @@ use fairmpi_chaos::XorShift64;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
+use fairmpi_cri::Assignment;
 use fairmpi_fabric::{Envelope, Packet, ANY_TAG};
 use fairmpi_matching::{MatchEvent, Matcher, PostOutcome, PostedRecv, SendSequencer};
+use fairmpi_progress::ProgressMode;
 use fairmpi_spc::{Counter, Histogram, SpcSeries, SpcSet, SpcSnapshot, Watermark};
 
 use crate::cost::CostModel;
 use crate::engine::{Action, Actor, LockId, Resume, Sim, WorldAccess};
 use crate::machine::Machine;
-use crate::workload::{SimAssignment, SimProgress};
+use crate::workload::{idle_backoff_ns, pick_instance, Sweep};
 
 /// How matching state is laid out across pairs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -42,9 +50,9 @@ pub struct SimDesign {
     /// Number of CRIs per rank.
     pub instances: usize,
     /// Instance assignment strategy (Algorithm 1).
-    pub assignment: SimAssignment,
+    pub assignment: Assignment,
     /// Progress-engine design (Algorithm 2 or the serial original).
-    pub progress: SimProgress,
+    pub progress: ProgressMode,
     /// Matching layout.
     pub matching: SimMatchLayout,
     /// `mpi_assert_allow_overtaking`: skip sequence validation (Fig. 4).
@@ -82,8 +90,8 @@ impl SimDesign {
     pub fn baseline() -> Self {
         Self {
             instances: 1,
-            assignment: SimAssignment::RoundRobin,
-            progress: SimProgress::Serial,
+            assignment: Assignment::RoundRobin,
+            progress: ProgressMode::Serial,
             matching: SimMatchLayout::SingleComm,
             allow_overtaking: false,
             any_tag: false,
@@ -115,8 +123,8 @@ impl SimDesign {
         let workers = workers.max(1);
         Self {
             instances: workers,
-            assignment: SimAssignment::Dedicated,
-            progress: SimProgress::Concurrent,
+            assignment: Assignment::Dedicated,
+            progress: ProgressMode::Concurrent,
             matching: SimMatchLayout::CommPerPair,
             offload_workers: workers,
             ..Self::baseline()
@@ -200,8 +208,8 @@ fn unpack(payload: u64) -> Packet {
     )
 }
 
-fn payload_comm(payload: u64) -> u32 {
-    (payload >> 48) as u32
+fn payload_comm(payload: u64) -> usize {
+    (payload >> 48) as usize
 }
 
 /// The simulated lossy wire: the fault schedule's own deterministic RNG
@@ -225,9 +233,9 @@ enum WireVerdict {
     Duplicate,
 }
 
-/// Shared state: receiver rings, the real matchers and sequencers.
+/// Shared state: receiver rings, the real matchers and sequencers (one
+/// of each per communicator, indexed by communicator id).
 pub(crate) struct MrWorld {
-    design: SimDesign,
     chaos: Option<ChaosWire>,
     rings: Vec<VecDeque<u64>>,
     matchers: Vec<Matcher>,
@@ -259,69 +267,9 @@ impl WorldAccess for MrWorld {
 }
 
 impl MrWorld {
-    fn matcher_index(&self, comm: u32) -> usize {
-        match self.design.matching {
-            SimMatchLayout::SingleComm => 0,
-            SimMatchLayout::CommPerPair => comm as usize,
-        }
-    }
-
-    fn jitter(&mut self, max: u64) -> u64 {
-        if max == 0 {
-            0
-        } else {
-            self.rng.gen_range(0..=max)
-        }
-    }
-
     fn note_received(&mut self, token: usize) {
         self.recv_done[token] += 1;
         self.received += 1;
-    }
-
-    /// Lock-free command enqueue (the whole point: no lock action here).
-    /// Returns false — after counting a backpressure stall — when full.
-    fn offload_enqueue(&mut self, cmd: OffloadCmd) -> bool {
-        let queue_len = match cmd {
-            OffloadCmd::Send(payload) => {
-                if self.cmd_send.len() >= OFFLOAD_QUEUE_CAP {
-                    self.spc.inc(Counter::OffloadBackpressureStalls);
-                    return false;
-                }
-                self.cmd_send.push_back(payload);
-                self.cmd_send.len()
-            }
-            OffloadCmd::Recv(id) => {
-                if self.cmd_recv.len() >= OFFLOAD_QUEUE_CAP {
-                    self.spc.inc(Counter::OffloadBackpressureStalls);
-                    return false;
-                }
-                self.cmd_recv.push_back(id);
-                self.cmd_recv.len()
-            }
-        };
-        self.spc.inc(Counter::OffloadCommands);
-        self.spc
-            .record_level(Watermark::OffloadQueueDepth, queue_len as u64);
-        true
-    }
-
-    /// Pop up to `DRAIN_BATCH` packets from one instance ring into `batch`;
-    /// returns the extraction cost.
-    fn extract_into(&mut self, instance: usize, batch: &mut Vec<u64>, cost: &CostModel) -> u64 {
-        batch.clear();
-        let ring = &mut self.rings[instance];
-        while batch.len() < DRAIN_BATCH {
-            match ring.pop_front() {
-                Some(p) => batch.push(p),
-                None => break,
-            }
-        }
-        self.spc
-            .add(Counter::CompletionsDrained, batch.len() as u64);
-        self.spc
-            .record_hist(Histogram::DrainBatchSize, batch.len() as u64);
-        cost.extraction_ns * batch.len() as u64
     }
 
     /// Wire verdict for one shipped frame: a single per-mille draw with
@@ -343,6 +291,27 @@ impl MrWorld {
         }
     }
 
+    /// Post receiver `id`'s next receive through the real matcher and
+    /// charge its match time, including the `waited` ns spent on the
+    /// matching lock (as OMPI's SPC does: the Table II number). Returns the
+    /// virtual cost of the post itself.
+    fn post(&mut self, id: usize, w: &Wiring, waited: u64) -> u64 {
+        let comm = w.comm_of(id);
+        let recv = PostedRecv {
+            token: id as u64,
+            comm,
+            src: 0,
+            tag: if w.design.any_tag { ANY_TAG } else { id as i32 },
+        };
+        let (outcome, work) = self.matchers[comm as usize].post_recv(recv);
+        if let PostOutcome::Matched(_) = outcome {
+            self.note_received(id);
+        }
+        let cost = w.cost.match_time_ns(&work);
+        self.spc.add(Counter::MatchTimeNanos, cost + waited);
+        cost
+    }
+
     /// Deliver one drained packet through the real matcher; returns the
     /// virtual cost of the work performed and the completions it produced.
     fn match_deliver(&mut self, payload: u64, cost: &CostModel) -> (u64, usize) {
@@ -356,14 +325,13 @@ impl MrWorld {
             }
         }
         let packet = unpack(payload);
-        let idx = self.matcher_index(packet.envelope.comm);
+        let comm = packet.envelope.comm as usize;
         let mut events = std::mem::take(&mut self.scratch);
         events.clear();
-        let work = self.matchers[idx].deliver(packet, &mut events);
-        let mut got = 0;
+        let work = self.matchers[comm].deliver(packet, &mut events);
+        let got = events.len();
         for ev in events.drain(..) {
             self.note_received(ev.token as usize);
-            got += 1;
         }
         self.scratch = events;
         let cost_ns = cost.match_time_ns(&work);
@@ -372,33 +340,425 @@ impl MrWorld {
     }
 }
 
-/// A simulated offload command descriptor.
-enum OffloadCmd {
-    /// A packed send payload, ready to inject.
-    Send(u64),
-    /// "Post one receive for receiver `id`".
-    Recv(usize),
+/// Lock-free offload command enqueue (the whole point: no lock action
+/// here). Returns false — after counting a backpressure stall — when full.
+fn offload_enqueue<T>(queue: &mut VecDeque<T>, cmd: T, spc: &SpcSet) -> bool {
+    if queue.len() >= OFFLOAD_QUEUE_CAP {
+        spc.inc(Counter::OffloadBackpressureStalls);
+        return false;
+    }
+    queue.push_back(cmd);
+    spc.inc(Counter::OffloadCommands);
+    spc.record_level(Watermark::OffloadQueueDepth, queue.len() as u64);
+    true
 }
 
-#[derive(Clone)]
+/// The run's fixed parameters and locks, shared by every actor.
 struct Wiring {
+    design: SimDesign,
+    cost: CostModel,
+    pairs: usize,
+    /// Outstanding-receive window.
+    window: u64,
+    /// Messages each pair transfers.
+    per_pair: u64,
     instances: usize,
-    wire_latency: u64,
-    jitter: u64,
+    send_locks: Vec<LockId>,
+    recv_locks: Vec<LockId>,
+    /// Matching locks, one per communicator.
+    match_locks: Vec<LockId>,
+    gate: LockId,
     big: LockId,
     /// Send-side request-pool locks (one per process: a single entry in
     /// thread mode, one per pair in process mode).
-    send_pools: Arc<[LockId]>,
+    send_pools: Vec<LockId>,
     /// Receive-side request-pool locks.
-    recv_pools: Arc<[LockId]>,
+    recv_pools: Vec<LockId>,
 }
 
 impl Wiring {
-    fn send_pool(&self, pair: usize) -> LockId {
-        self.send_pools[pair % self.send_pools.len()]
+    /// The communicator pair `pair` talks on.
+    fn comm_of(&self, pair: usize) -> u32 {
+        match self.design.matching {
+            SimMatchLayout::SingleComm => 0,
+            SimMatchLayout::CommPerPair => pair as u32,
+        }
     }
-    fn recv_pool(&self, pair: usize) -> LockId {
-        self.recv_pools[pair % self.recv_pools.len()]
+
+    /// Algorithm 1 for thread `id`, round-robin drawing from `rr`.
+    fn pick(&self, id: usize, rr: &mut u64) -> usize {
+        pick_instance(self.design.assignment, id, self.instances, rr)
+    }
+
+    /// The lock a receive post holds: the big lock, or the matching lock
+    /// of the poster's communicator.
+    fn post_lock(&self, id: usize) -> LockId {
+        if self.design.big_lock {
+            self.big
+        } else {
+            self.match_locks[self.comm_of(id) as usize]
+        }
+    }
+
+    /// The lock an injection through `instance` holds.
+    fn inject_lock(&self, instance: usize) -> LockId {
+        if self.design.big_lock {
+            self.big
+        } else {
+            self.send_locks[instance]
+        }
+    }
+
+    /// Wire delay of one shipped frame: latency plus a jitter draw.
+    fn wire_delay(&self, world: &mut MrWorld) -> u64 {
+        // No draw at all without jitter: the RNG stream stays untouched.
+        let max = self.cost.delivery_jitter_ns;
+        let jitter = (max > 0).then(|| world.rng.gen_range(0..=max));
+        self.cost.wire_latency_ns + jitter.unwrap_or(0)
+    }
+}
+
+// ---------------------------------------------------------------------
+// Protocol sub-machines
+// ---------------------------------------------------------------------
+//
+// Each `step` below runs once per simulated event and is inlined into its
+// actors' `step`: left as out-of-line calls they slowed the simulator's
+// wall clock by about 15 % on the CRIs* grid point.
+
+#[derive(Clone, Copy, Default)]
+enum SectionStage {
+    #[default]
+    Enter,
+    Charge,
+    Exit,
+}
+
+/// A blocking critical section around one charged step: `Lock`, one
+/// `Compute`, `Unlock`. Request-pool visits and receive posts are both
+/// this shape.
+#[derive(Default)]
+struct Section {
+    lock: LockId,
+    since: u64,
+    stage: SectionStage,
+}
+
+impl Section {
+    fn new(lock: LockId) -> Self {
+        Self {
+            lock,
+            ..Self::default()
+        }
+    }
+
+    /// The next action, and whether it is the section's last. `charge`
+    /// runs under the lock: it gets the ns spent waiting for the lock and
+    /// returns the virtual cost of the work done there.
+    #[inline(always)]
+    fn step(&mut self, now: u64, charge: impl FnOnce(u64) -> u64) -> (Action, bool) {
+        match self.stage {
+            SectionStage::Enter => {
+                self.since = now;
+                self.stage = SectionStage::Charge;
+                (Action::Lock(self.lock), false)
+            }
+            SectionStage::Charge => {
+                self.stage = SectionStage::Exit;
+                (Action::Compute(charge(now - self.since)), false)
+            }
+            SectionStage::Exit => (Action::Unlock(self.lock), true),
+        }
+    }
+}
+
+#[derive(Clone, Copy, Default)]
+enum InjectStage {
+    /// Pick an instance (Algorithm 1, or a worker's own) and lock it.
+    #[default]
+    Acquire,
+    /// Lock granted: charge injection.
+    Inject,
+    /// Injection done: ship through the chaos wire.
+    Ship,
+    /// Chaos duplicated the frame: post the second copy.
+    ShipDup,
+    /// Chaos dropped the frame: the (virtual) ack timeout elapsed with
+    /// nothing to show; back off, then re-acquire and re-inject.
+    Backoff,
+    /// Shipped: release the lock.
+    Release,
+}
+
+/// Injecting one frame: lock the instance, charge injection, ship it
+/// (post, duplicate post, or drop followed by a retransmit backoff and a
+/// fresh attempt), release.
+#[derive(Default)]
+struct Injector {
+    stage: InjectStage,
+    lock: LockId,
+    mailbox: usize,
+    frame: u64,
+    /// Retransmit attempts for the in-hand frame (chaos only).
+    attempt: u32,
+}
+
+impl Injector {
+    /// Hand over the next frame.
+    fn load(&mut self, frame: u64) {
+        self.frame = frame;
+        self.stage = InjectStage::Acquire;
+    }
+
+    /// The next action, and whether it is the last (the release once the
+    /// frame is on the wire). `pick` chooses the instance of each attempt.
+    #[inline(always)]
+    fn step(
+        &mut self,
+        world: &mut MrWorld,
+        w: &Wiring,
+        pick: impl FnOnce(&mut MrWorld) -> usize,
+    ) -> (Action, bool) {
+        let ship = |world: &mut MrWorld, frame: u64, mailbox: usize| Action::Post {
+            mailbox,
+            payload: frame,
+            delay_ns: w.wire_delay(world),
+        };
+        let action = match self.stage {
+            InjectStage::Acquire => {
+                self.mailbox = pick(world);
+                self.lock = w.inject_lock(self.mailbox);
+                self.stage = InjectStage::Inject;
+                Action::Lock(self.lock)
+            }
+            InjectStage::Inject => {
+                self.stage = InjectStage::Ship;
+                Action::Compute(w.cost.injection_time_ns(0, 28))
+            }
+            InjectStage::Ship => {
+                // A unique message counts as sent on its first injection,
+                // whatever the wire then does to it; retransmits don't.
+                if self.attempt == 0 {
+                    world.spc.inc(Counter::MessagesSent);
+                }
+                let verdict = world.chaos_ship();
+                if verdict == WireVerdict::Drop {
+                    // The sender only learns of the loss when the ack
+                    // timeout fires: release the instance and back off.
+                    self.stage = InjectStage::Backoff;
+                    return (Action::Unlock(self.lock), false);
+                }
+                self.attempt = 0;
+                self.stage = if verdict == WireVerdict::Duplicate {
+                    InjectStage::ShipDup
+                } else {
+                    InjectStage::Release
+                };
+                ship(world, self.frame, self.mailbox)
+            }
+            InjectStage::ShipDup => {
+                self.stage = InjectStage::Release;
+                ship(world, self.frame, self.mailbox)
+            }
+            InjectStage::Backoff => {
+                let backoff = w.cost.retransmit_timeout_ns << self.attempt.min(6);
+                self.attempt += 1;
+                world.spc.inc(Counter::Retransmits);
+                world.spc.add(Counter::RetryBackoffNanos, backoff);
+                self.stage = InjectStage::Acquire;
+                Action::Sleep(backoff)
+            }
+            InjectStage::Release => {
+                self.stage = InjectStage::Acquire;
+                return (Action::Unlock(self.lock), true);
+            }
+        };
+        (action, false)
+    }
+}
+
+#[derive(Clone, Copy, Default)]
+enum PassStage {
+    /// At the sweep's current instance: try-lock it (or, inside the big
+    /// lock, extract at once).
+    #[default]
+    Visit,
+    /// Result of the instance try-lock.
+    Tried,
+    /// Batch extracted: release the instance, then match the batch.
+    Extracted,
+    /// Match the next drained packet, or move on when the batch is done.
+    Matching,
+    /// Holding the match lock: deliver through the real matcher, charge.
+    MatchCharge,
+    /// Release the match lock, continue the batch.
+    MatchUnlock,
+}
+
+/// One progress pass over a [`Sweep`]: try-lock each instance, extract a
+/// batch, release, match each packet under its communicator's lock.
+/// Algorithm 2 ends the pass at the first instance that yielded
+/// completions; an exhaustive pass (the serial gate holder) visits every
+/// instance. Inside the big lock there are no inner locks to take.
+#[derive(Default)]
+struct ProgressPass {
+    stage: PassStage,
+    sweep: Sweep,
+    exhaustive: bool,
+    big: bool,
+    batch: Vec<u64>,
+    batch_pos: usize,
+    /// Completions this pass produced.
+    got: usize,
+    /// When the current match-lock acquisition started, for charging lock
+    /// wait into the match-time counter (as OMPI's SPC does).
+    match_wait_from: u64,
+}
+
+impl ProgressPass {
+    /// Arm a pass over the sweep just planned.
+    fn begin(&mut self, exhaustive: bool, big: bool) {
+        self.stage = PassStage::Visit;
+        self.exhaustive = exhaustive;
+        self.big = big;
+        self.got = 0;
+    }
+
+    /// Move to the next instance; `None` when the pass is over.
+    fn next_instance(&mut self) -> Option<()> {
+        let early_stop = !self.exhaustive && self.got > 0;
+        self.stage = PassStage::Visit;
+        (self.sweep.advance() && !early_stop).then_some(())
+    }
+
+    /// Pop up to `DRAIN_BATCH` packets from the current instance's ring
+    /// and charge their extraction.
+    fn extract(&mut self, world: &mut MrWorld, w: &Wiring) -> Action {
+        // A pop loop: `VecDeque::drain` slowed these mostly empty polls.
+        let ring = &mut world.rings[self.sweep.current()];
+        self.batch.clear();
+        while self.batch.len() < DRAIN_BATCH {
+            let Some(payload) = ring.pop_front() else {
+                break;
+            };
+            self.batch.push(payload);
+        }
+        let n = self.batch.len();
+        self.batch_pos = 0;
+        self.stage = PassStage::Extracted;
+        world.spc.add(Counter::CompletionsDrained, n as u64);
+        world.spc.record_hist(Histogram::DrainBatchSize, n as u64);
+        Action::Compute(w.cost.extraction_ns * n as u64)
+    }
+
+    fn match_one(&mut self, world: &mut MrWorld, w: &Wiring) -> u64 {
+        let payload = self.batch[self.batch_pos];
+        self.batch_pos += 1;
+        let (cost, got) = world.match_deliver(payload, &w.cost);
+        self.got += got;
+        cost
+    }
+
+    /// The pass's next action; `None` once it is over (`got` holds its
+    /// completions).
+    #[inline(always)]
+    fn step(
+        &mut self,
+        resume: Resume,
+        now: u64,
+        world: &mut MrWorld,
+        w: &Wiring,
+    ) -> Option<Action> {
+        loop {
+            match self.stage {
+                PassStage::Visit => {
+                    if self.big {
+                        return Some(self.extract(world, w));
+                    }
+                    self.stage = PassStage::Tried;
+                    return Some(Action::TryLock(w.recv_locks[self.sweep.current()]));
+                }
+                PassStage::Tried => {
+                    let Resume::TryLockResult(got) = resume else {
+                        unreachable!("instance resume must carry a try-lock result");
+                    };
+                    if got {
+                        return Some(self.extract(world, w));
+                    }
+                    world.spc.inc(Counter::InstanceTryLockFailures);
+                    self.next_instance()?;
+                }
+                PassStage::Extracted => {
+                    self.stage = PassStage::Matching;
+                    if !self.big {
+                        return Some(Action::Unlock(w.recv_locks[self.sweep.current()]));
+                    }
+                }
+                PassStage::Matching => {
+                    if self.batch_pos >= self.batch.len() {
+                        self.next_instance()?;
+                        continue;
+                    }
+                    if self.big {
+                        return Some(Action::Compute(self.match_one(world, w)));
+                    }
+                    let comm = payload_comm(self.batch[self.batch_pos]);
+                    self.stage = PassStage::MatchCharge;
+                    self.match_wait_from = now;
+                    return Some(Action::Lock(w.match_locks[comm]));
+                }
+                PassStage::MatchCharge => {
+                    let cost = self.match_one(world, w);
+                    let waited = now - self.match_wait_from;
+                    world.spc.add(Counter::MatchTimeNanos, waited);
+                    self.stage = PassStage::MatchUnlock;
+                    return Some(Action::Compute(cost));
+                }
+                PassStage::MatchUnlock => {
+                    let comm = payload_comm(self.batch[self.batch_pos - 1]);
+                    self.stage = PassStage::Matching;
+                    return Some(Action::Unlock(w.match_locks[comm]));
+                }
+            }
+        }
+    }
+}
+
+/// An offload worker's private command batch, refilled from a shared
+/// command queue up to `DRAIN_BATCH` at a time, plus the worker's idle
+/// bookkeeping (a wake-up after a nap costs `offload_wakeup_ns`).
+#[derive(Default)]
+struct CmdBatch<T> {
+    batch: VecDeque<T>,
+    idle_streak: u32,
+    was_idle: bool,
+}
+
+impl<T> CmdBatch<T> {
+    /// Refill the empty batch from `queue`: the drain's `Compute`, or
+    /// `None` when the queue was empty too.
+    fn refill(&mut self, queue: &mut VecDeque<T>, spc: &SpcSet, w: &Wiring) -> Option<Action> {
+        let popped = queue.len().min(DRAIN_BATCH);
+        if popped == 0 {
+            return None;
+        }
+        self.batch.extend(queue.drain(..popped));
+        spc.inc(Counter::OffloadBatches);
+        let wake = u64::from(self.was_idle) * w.cost.offload_wakeup_ns;
+        let drain = w.cost.offload_drain_ns * popped as u64;
+        self.was_idle = false;
+        self.idle_streak = 0;
+        Some(Action::Compute(wake + drain))
+    }
+
+    /// Nothing to do: charge an empty poll (the nap follows).
+    fn idle(&mut self, cost: &CostModel) -> Action {
+        self.was_idle = true;
+        Action::Compute(cost.poll_empty_ns)
+    }
+
+    fn nap(&mut self) -> Action {
+        Action::Sleep(idle_backoff_ns(&mut self.idle_streak))
     }
 }
 
@@ -409,57 +769,27 @@ impl Wiring {
 enum SState {
     /// Pick the next message (draw seq) or finish.
     Next,
-    /// Software overhead charged; grab the shared request pool.
-    PoolAcquire,
-    /// Pool held: charge the allocation.
-    PoolCharge,
-    /// Release the pool, then go for the instance.
-    PoolRelease,
-    /// Acquire the instance (or big) lock.
-    Acquire,
-    /// Lock granted; charge injection.
-    Inject,
-    /// Injection done; ship on the wire.
-    Ship,
-    /// Chaos duplicated the frame: post the second copy.
-    ShipDup,
-    /// Chaos dropped the frame: the (virtual) ack timeout elapsed with
-    /// nothing to show; back off, then re-acquire and re-inject.
-    RetryBackoff,
-    /// Shipped; release the lock.
-    Release,
+    /// In the shared request pool.
+    Pool,
     /// Offload mode: lock-free enqueue onto the command queue (retried
     /// with a short nap when the queue is full — backpressure).
-    OffloadEnqueue,
+    Enqueue,
+    /// Injecting the frame.
+    Inject,
 }
 
 struct Sender {
     pair: usize,
-    comm: u32,
     remaining: u64,
     state: SState,
-    cost: CostModel,
-    design: SimDesign,
-    wiring: Wiring,
-    send_locks: Arc<[LockId]>,
-    cur_instance: usize,
-    cur_payload: u64,
-    /// Retransmit attempts for the in-hand frame (chaos only).
-    attempt: u32,
-}
-
-impl Sender {
-    fn lock_id(&self) -> LockId {
-        if self.design.big_lock {
-            self.wiring.big
-        } else {
-            self.send_locks[self.cur_instance]
-        }
-    }
+    w: Rc<Wiring>,
+    pool: Section,
+    inj: Injector,
 }
 
 impl Actor<MrWorld> for Sender {
-    fn step(&mut self, _resume: Resume, _now: u64, world: &mut MrWorld) -> Action {
+    fn step(&mut self, _resume: Resume, now: u64, world: &mut MrWorld) -> Action {
+        let w = &*self.w;
         match self.state {
             SState::Next => {
                 if self.remaining == 0 {
@@ -473,117 +803,49 @@ impl Actor<MrWorld> for Sender {
                 // other and produce out-of-sequence arrivals. (In offload
                 // mode the draw happens at enqueue time, in program order,
                 // exactly like the native runtime.)
-                let seq = world.sequencers[world.matcher_index(self.comm)].next(0);
-                self.cur_payload = pack(self.comm, self.pair as u16, seq);
-                self.state = if self.design.big_lock {
+                let comm = w.comm_of(self.pair);
+                let seq = world.sequencers[comm as usize].next(0);
+                self.inj.load(pack(comm, self.pair as u16, seq));
+                self.state = if w.design.big_lock {
                     // The big lock already serializes everything; the
                     // pool is not a separate bottleneck there.
-                    SState::Acquire
-                } else if self.design.offload_workers > 0 {
+                    SState::Inject
+                } else if w.design.offload_workers > 0 {
                     // Offload: the descriptor *is* the command-ring slot,
                     // so submission never touches the process-shared
                     // request pool — the serialization that pins every
                     // other thread-mode design to the pool ceiling.
-                    SState::OffloadEnqueue
+                    SState::Enqueue
                 } else {
-                    SState::PoolAcquire
+                    self.pool = Section::new(w.send_pools[self.pair % w.send_pools.len()]);
+                    SState::Pool
                 };
-                Action::Compute(self.cost.send_software_ns)
+                Action::Compute(w.cost.send_software_ns)
             }
-            SState::PoolAcquire => {
-                self.state = SState::PoolCharge;
-                Action::Lock(self.wiring.send_pool(self.pair))
+            SState::Pool => {
+                let (action, last) = self.pool.step(now, |_| w.cost.request_pool_ns);
+                if last {
+                    self.state = SState::Inject;
+                }
+                action
             }
-            SState::PoolCharge => {
-                self.state = SState::PoolRelease;
-                Action::Compute(self.cost.request_pool_ns)
-            }
-            SState::PoolRelease => {
-                self.state = if self.design.offload_workers > 0 {
-                    SState::OffloadEnqueue
-                } else {
-                    SState::Acquire
-                };
-                Action::Unlock(self.wiring.send_pool(self.pair))
-            }
-            SState::OffloadEnqueue => {
-                if world.offload_enqueue(OffloadCmd::Send(self.cur_payload)) {
+            SState::Enqueue => {
+                if offload_enqueue(&mut world.cmd_send, self.inj.frame, &world.spc) {
                     self.state = SState::Next;
-                    Action::Compute(self.cost.offload_enqueue_ns)
+                    Action::Compute(w.cost.offload_enqueue_ns)
                 } else {
                     // Queue full: nap and retry (the Yield backpressure
                     // policy). The descriptor and its seq are kept.
                     Action::Sleep(500)
                 }
             }
-            SState::Acquire => {
-                self.cur_instance = if self.design.process_mode {
-                    self.pair % self.wiring.instances
-                } else {
-                    match self.design.assignment {
-                        SimAssignment::Dedicated => self.pair % self.wiring.instances,
-                        SimAssignment::RoundRobin => {
-                            world.rr_send += 1;
-                            (world.rr_send - 1) as usize % self.wiring.instances
-                        }
-                    }
-                };
-                self.state = SState::Inject;
-                Action::Lock(self.lock_id())
-            }
             SState::Inject => {
-                self.state = SState::Ship;
-                Action::Compute(self.cost.injection_time_ns(0, 28))
-            }
-            SState::Ship => {
-                // A unique message counts as sent on its first injection,
-                // whatever the wire then does to it; retransmits don't.
-                if self.attempt == 0 {
-                    world.spc.inc(Counter::MessagesSent);
+                let pick = |world: &mut MrWorld| w.pick(self.pair, &mut world.rr_send);
+                let (action, last) = self.inj.step(world, w, pick);
+                if last {
+                    self.state = SState::Next;
                 }
-                match world.chaos_ship() {
-                    WireVerdict::Drop => {
-                        // The sender only learns of the loss when the ack
-                        // timeout fires: release the instance and back off.
-                        self.state = SState::RetryBackoff;
-                        Action::Unlock(self.lock_id())
-                    }
-                    verdict => {
-                        let delay = self.wiring.wire_latency + world.jitter(self.wiring.jitter);
-                        self.attempt = 0;
-                        self.state = if verdict == WireVerdict::Duplicate {
-                            SState::ShipDup
-                        } else {
-                            SState::Release
-                        };
-                        Action::Post {
-                            mailbox: self.cur_instance,
-                            payload: self.cur_payload,
-                            delay_ns: delay,
-                        }
-                    }
-                }
-            }
-            SState::ShipDup => {
-                let delay = self.wiring.wire_latency + world.jitter(self.wiring.jitter);
-                self.state = SState::Release;
-                Action::Post {
-                    mailbox: self.cur_instance,
-                    payload: self.cur_payload,
-                    delay_ns: delay,
-                }
-            }
-            SState::RetryBackoff => {
-                let backoff = self.cost.retransmit_timeout_ns << self.attempt.min(6);
-                self.attempt += 1;
-                world.spc.inc(Counter::Retransmits);
-                world.spc.add(Counter::RetryBackoffNanos, backoff);
-                self.state = SState::Acquire;
-                Action::Sleep(backoff)
-            }
-            SState::Release => {
-                self.state = SState::Next;
-                Action::Unlock(self.lock_id())
+                action
             }
         }
     }
@@ -596,286 +858,123 @@ impl Actor<MrWorld> for Sender {
 enum RState {
     /// Top of the loop: post, progress, or finish.
     Idle,
-    /// Grab the receive-side request pool before posting.
-    PoolAcquire,
-    /// Pool held: charge the allocation.
-    PoolCharge,
-    /// Release the pool.
-    PoolRelease,
-    /// Acquire the match lock to post one receive.
-    PostLock,
-    /// Holding the match lock: post through the real matcher, charge.
-    PostCharge,
-    /// Release the match lock after posting.
-    PostUnlock,
-    /// Begin one progress pass.
-    Progress,
+    /// In the receive-side request pool before posting.
+    Pool,
+    /// Posting one receive.
+    Post,
+    /// Offload mode: lock-free enqueue of a receive-post command.
+    Enqueue,
     /// Serial mode: result of the global gate try-lock.
     GateTried,
-    /// Result of an instance try-lock (both progress designs; the gate
-    /// holder also try-locks, skipping instances busy with senders).
-    ConcTried,
-    /// Holding an instance lock: extract a batch, charge extraction.
-    Extract,
-    /// Release the instance lock, then match the batch.
-    InstanceUnlock,
-    /// Acquire the match lock for the next drained packet.
-    MatchLock,
-    /// Holding the match lock: deliver through the real matcher, charge.
-    MatchCharge,
-    /// Release the match lock, continue the batch.
-    MatchUnlock,
-    /// Batch finished: advance the sweep or end the pass.
-    NextInstance,
-    /// Serial mode: release the gate at the end of the pass.
-    ReleaseGate,
-    /// Big-lock mode: acquire the global critical section for the pass.
-    BigAcquire,
-    /// Big-lock mode: extract from the next instance (no inner locks).
-    BigExtract,
-    /// Big-lock mode: match the batch (no inner locks).
-    BigMatch,
-    /// Big-lock mode: release the critical section.
-    BigRelease,
+    /// Running a progress pass.
+    Pass,
     /// Nothing found: charge an empty poll.
     IdlePoll,
     /// Then yield the core.
     IdleYield,
-    /// Offload mode: lock-free enqueue of a receive-post command.
-    OffloadPost,
 }
 
 struct Receiver {
     id: usize,
-    comm: u32,
-    tag: i32,
-    window: usize,
-    iterations: usize,
-    cost: CostModel,
-    design: SimDesign,
-    wiring: Wiring,
-    recv_locks: Arc<[LockId]>,
-    match_locks: Arc<[LockId]>,
-    gate: LockId,
+    w: Rc<Wiring>,
     state: RState,
+    /// Receives posted so far; each full window is waited for.
     posted: u64,
-    wait_target: u64,
-    sweep: Vec<usize>,
-    sweep_pos: usize,
-    cur_instance: usize,
-    batch: Vec<u64>,
-    batch_pos: usize,
-    got_this_pass: usize,
-    holding_gate: bool,
-    /// When the current match-lock acquisition started, for charging lock
-    /// wait into the match-time counter (as OMPI's SPC does).
-    match_wait_from: u64,
+    section: Section,
+    pass: ProgressPass,
+    /// The gate or big lock held around the current pass.
+    held: Option<LockId>,
     /// Consecutive empty progress passes, for poll backoff.
     idle_streak: u32,
 }
 
 impl Receiver {
-    fn total(&self) -> u64 {
-        (self.window * self.iterations) as u64
-    }
-
-    fn match_lock_for(&self, comm: u32) -> LockId {
-        match self.design.matching {
-            SimMatchLayout::SingleComm => self.match_locks[0],
-            SimMatchLayout::CommPerPair => self.match_locks[comm as usize],
-        }
-    }
-
-    fn plan_sweep(&mut self, world: &mut MrWorld, all: bool) {
-        self.sweep.clear();
-        self.sweep_pos = 0;
-        self.got_this_pass = 0;
-        if self.design.process_mode {
-            self.sweep.push(self.id % self.wiring.instances);
-            return;
-        }
-        if all {
-            self.sweep.extend(0..self.wiring.instances);
-            return;
-        }
-        // Algorithm 2: assigned instance first, then round-robin fallback.
-        let first = match self.design.assignment {
-            SimAssignment::Dedicated => self.id % self.wiring.instances,
-            SimAssignment::RoundRobin => {
-                world.rr_recv += 1;
-                (world.rr_recv - 1) as usize % self.wiring.instances
-            }
-        };
-        for off in 0..self.wiring.instances {
-            self.sweep.push((first + off) % self.wiring.instances);
-        }
-    }
-
-    fn extract_batch(&mut self, world: &mut MrWorld) -> u64 {
-        self.batch_pos = 0;
-        world.extract_into(self.cur_instance, &mut self.batch, &self.cost)
-    }
-
-    /// Deliver one drained packet through the real matcher; returns the
-    /// virtual cost of the work actually performed.
-    fn match_one(&mut self, world: &mut MrWorld) -> u64 {
-        let payload = self.batch[self.batch_pos];
-        self.batch_pos += 1;
-        let (cost, got) = world.match_deliver(payload, &self.cost);
-        self.got_this_pass += got;
-        cost
-    }
-
-    /// After a batch: where to next? Also books the pass as useful or
-    /// wasted (the polling-overhead share the paper's designs trade off).
-    fn end_of_pass_state(&mut self, world: &mut MrWorld) -> RState {
-        if self.got_this_pass == 0 {
-            world.spc.inc(Counter::ProgressWastedPasses);
-            RState::IdlePoll
-        } else {
-            world.spc.inc(Counter::ProgressUsefulPasses);
-            self.idle_streak = 0;
-            RState::Idle
-        }
-    }
-
-    /// Exponential poll backoff, capped: idle receivers must not dominate
-    /// the event budget, and real progress polls also cool down under
-    /// `sched_yield`.
-    fn backoff_ns(&mut self) -> u64 {
-        let ns = 150u64.saturating_mul(1 << self.idle_streak.min(7));
-        self.idle_streak += 1;
-        ns.min(20_000)
+    /// Start a progress pass inside `held` (the serial gate or the big
+    /// lock: both sweep every instance) or, without it, Algorithm 2 from
+    /// the Algorithm-1 pick. A process polls only its private instance.
+    fn start_pass(&mut self, world: &mut MrWorld, held: Option<LockId>) {
+        let (w, id) = (&*self.w, self.id);
+        let own = w.design.process_mode.then_some(id % w.instances);
+        let first = || w.pick(id, &mut world.rr_recv);
+        self.pass
+            .sweep
+            .plan(own, held.is_some(), w.instances, first);
+        self.pass.begin(held.is_some(), held == Some(w.big));
+        self.held = held;
+        self.state = RState::Pass;
     }
 }
 
 impl Actor<MrWorld> for Receiver {
-    fn step(&mut self, resume: Resume, _now: u64, world: &mut MrWorld) -> Action {
+    fn step(&mut self, resume: Resume, now: u64, world: &mut MrWorld) -> Action {
+        let w = Rc::clone(&self.w);
         loop {
             match self.state {
                 RState::Idle => {
                     let done = world.recv_done[self.id];
-                    if done >= self.total() {
+                    if done >= w.per_pair {
                         return Action::Done;
                     }
-                    if self.posted < self.total() && done >= self.wait_target {
-                        self.state = if self.design.big_lock {
-                            RState::PostLock
-                        } else if self.design.offload_workers > 0 {
+                    let wait_target = self.posted / w.window * w.window;
+                    if self.posted < w.per_pair && done >= wait_target {
+                        self.state = if w.design.big_lock {
+                            self.section = Section::new(w.post_lock(self.id));
+                            RState::Post
+                        } else if w.design.offload_workers > 0 {
                             // Offload: the recv descriptor rides in the
                             // ring slot; no shared-pool visit.
-                            RState::OffloadPost
+                            RState::Enqueue
                         } else {
-                            RState::PoolAcquire
+                            self.section = Section::new(w.recv_pools[self.id % w.recv_pools.len()]);
+                            RState::Pool
                         };
-                        return Action::Compute(self.cost.recv_software_ns);
+                        return Action::Compute(w.cost.recv_software_ns);
                     }
-                    // Offload: the workers progress; the application thread
-                    // only polls its completion queue (an empty-poll charge
-                    // plus backoff — the CQ read is the cqe cost).
-                    self.state = if self.design.offload_workers > 0 {
-                        RState::IdlePoll
-                    } else {
-                        RState::Progress
-                    };
-                }
-                RState::PoolAcquire => {
-                    self.state = RState::PoolCharge;
-                    return Action::Lock(self.wiring.recv_pool(self.id));
-                }
-                RState::PoolCharge => {
-                    self.state = RState::PoolRelease;
-                    return Action::Compute(self.cost.request_pool_ns);
-                }
-                RState::PoolRelease => {
-                    self.state = if self.design.offload_workers > 0 {
-                        RState::OffloadPost
-                    } else {
-                        RState::PostLock
-                    };
-                    return Action::Unlock(self.wiring.recv_pool(self.id));
-                }
-                RState::OffloadPost => {
-                    if world.offload_enqueue(OffloadCmd::Recv(self.id)) {
-                        self.posted += 1;
-                        if self.posted.is_multiple_of(self.window as u64) {
-                            self.wait_target = self.posted;
-                        }
-                        self.idle_streak = 0;
-                        self.state = RState::Idle;
-                        return Action::Compute(self.cost.offload_enqueue_ns);
-                    }
-                    return Action::Sleep(500);
-                }
-                RState::PostLock => {
-                    self.state = RState::PostCharge;
-                    self.match_wait_from = _now;
-                    if self.design.big_lock {
-                        return Action::Lock(self.wiring.big);
-                    }
-                    return Action::Lock(self.match_lock_for(self.comm));
-                }
-                RState::PostCharge => {
-                    let recv = PostedRecv {
-                        token: self.id as u64,
-                        comm: self.comm,
-                        src: 0,
-                        tag: if self.design.any_tag {
-                            ANY_TAG
-                        } else {
-                            self.tag
-                        },
-                    };
-                    let idx = world.matcher_index(self.comm);
-                    let (outcome, work) = world.matchers[idx].post_recv(recv);
-                    if let PostOutcome::Matched(_) = outcome {
-                        world.note_received(self.id);
-                    }
-                    self.posted += 1;
-                    if self.posted.is_multiple_of(self.window as u64) {
-                        self.wait_target = self.posted;
-                    }
-                    let cost = self.cost.match_time_ns(&work);
-                    // Match time includes the wait for the matching lock,
-                    // as in OMPI's SPC (the Table II number).
-                    world.spc.add(
-                        Counter::MatchTimeNanos,
-                        cost + (_now - self.match_wait_from),
-                    );
-                    self.state = RState::PostUnlock;
-                    return Action::Compute(cost);
-                }
-                RState::PostUnlock => {
-                    self.state = RState::Idle;
-                    if self.design.big_lock {
-                        return Action::Unlock(self.wiring.big);
-                    }
-                    return Action::Unlock(self.match_lock_for(self.comm));
-                }
-                RState::Progress => {
-                    world.spc.inc(Counter::ProgressCalls);
-                    if self.design.big_lock {
-                        self.state = RState::BigAcquire;
+                    if w.design.offload_workers > 0 {
+                        // Offload: the workers progress; the application
+                        // thread only polls its completion queue (an
+                        // empty-poll charge plus backoff — the CQ read is
+                        // the cqe cost).
+                        self.state = RState::IdlePoll;
                         continue;
                     }
-                    if self.design.process_mode {
-                        self.plan_sweep(world, false);
-                        self.cur_instance = self.sweep[0];
-                        self.state = RState::ConcTried;
-                        return Action::TryLock(self.recv_locks[self.cur_instance]);
+                    world.spc.inc(Counter::ProgressCalls);
+                    if w.design.big_lock {
+                        self.start_pass(world, Some(w.big));
+                        return Action::Lock(w.big);
                     }
-                    match self.design.progress {
-                        SimProgress::Serial => {
-                            self.state = RState::GateTried;
-                            return Action::TryLock(self.gate);
-                        }
-                        SimProgress::Concurrent => {
-                            self.plan_sweep(world, false);
-                            self.cur_instance = self.sweep[0];
-                            self.state = RState::ConcTried;
-                            return Action::TryLock(self.recv_locks[self.cur_instance]);
-                        }
+                    if !w.design.process_mode && w.design.progress == ProgressMode::Serial {
+                        self.state = RState::GateTried;
+                        return Action::TryLock(w.gate);
                     }
+                    self.start_pass(world, None);
+                }
+                RState::Pool => {
+                    let (action, last) = self.section.step(now, |_| w.cost.request_pool_ns);
+                    if last {
+                        self.section = Section::new(w.post_lock(self.id));
+                        self.state = RState::Post;
+                    }
+                    return action;
+                }
+                RState::Post => {
+                    let id = self.id;
+                    let (action, last) =
+                        self.section.step(now, |waited| world.post(id, &w, waited));
+                    if last {
+                        self.posted += 1;
+                        self.state = RState::Idle;
+                    }
+                    return action;
+                }
+                RState::Enqueue => {
+                    if offload_enqueue(&mut world.cmd_recv, self.id, &world.spc) {
+                        self.posted += 1;
+                        self.idle_streak = 0;
+                        self.state = RState::Idle;
+                        return Action::Compute(w.cost.offload_enqueue_ns);
+                    }
+                    return Action::Sleep(500);
                 }
                 RState::GateTried => {
                     let Resume::TryLockResult(got) = resume else {
@@ -887,116 +986,37 @@ impl Actor<MrWorld> for Receiver {
                         self.state = RState::IdlePoll;
                         continue;
                     }
-                    self.holding_gate = true;
-                    self.plan_sweep(world, true);
-                    self.cur_instance = self.sweep[0];
-                    self.state = RState::ConcTried;
                     // The gate holder try-locks each instance: an instance
                     // busy with a sender is skipped and revisited on the
                     // next pass rather than queued behind the convoy.
-                    return Action::TryLock(self.recv_locks[self.cur_instance]);
+                    self.start_pass(world, Some(w.gate));
                 }
-                RState::ConcTried => {
-                    let Resume::TryLockResult(got) = resume else {
-                        unreachable!("instance resume must carry a try-lock result");
+                RState::Pass => {
+                    if let Some(action) = self.pass.step(resume, now, world, &w) {
+                        return action;
+                    }
+                    // Book the pass as useful or wasted (the
+                    // polling-overhead share the paper's designs trade
+                    // off), then release the gate or big lock around it.
+                    self.state = if self.pass.got == 0 {
+                        world.spc.inc(Counter::ProgressWastedPasses);
+                        RState::IdlePoll
+                    } else {
+                        world.spc.inc(Counter::ProgressUsefulPasses);
+                        self.idle_streak = 0;
+                        RState::Idle
                     };
-                    if !got {
-                        world.spc.inc(Counter::InstanceTryLockFailures);
-                        self.state = RState::NextInstance;
-                        continue;
+                    if let Some(lock) = self.held.take() {
+                        return Action::Unlock(lock);
                     }
-                    self.state = RState::Extract;
-                }
-                RState::Extract => {
-                    let cost = self.extract_batch(world);
-                    self.state = RState::InstanceUnlock;
-                    return Action::Compute(cost);
-                }
-                RState::InstanceUnlock => {
-                    self.state = RState::MatchLock;
-                    return Action::Unlock(self.recv_locks[self.cur_instance]);
-                }
-                RState::MatchLock => {
-                    if self.batch_pos >= self.batch.len() {
-                        self.state = RState::NextInstance;
-                        continue;
-                    }
-                    let comm = payload_comm(self.batch[self.batch_pos]);
-                    self.state = RState::MatchCharge;
-                    self.match_wait_from = _now;
-                    return Action::Lock(self.match_lock_for(comm));
-                }
-                RState::MatchCharge => {
-                    let cost = self.match_one(world);
-                    world
-                        .spc
-                        .add(Counter::MatchTimeNanos, _now - self.match_wait_from);
-                    self.state = RState::MatchUnlock;
-                    return Action::Compute(cost);
-                }
-                RState::MatchUnlock => {
-                    let comm = payload_comm(self.batch[self.batch_pos - 1]);
-                    self.state = RState::MatchLock;
-                    return Action::Unlock(self.match_lock_for(comm));
-                }
-                RState::NextInstance => {
-                    self.sweep_pos += 1;
-                    // Algorithm 2 ends the fallback sweep at the first
-                    // instance that yielded completions; the serial gate
-                    // holder sweeps everything.
-                    let early_stop = !self.holding_gate && self.got_this_pass > 0;
-                    if self.sweep_pos >= self.sweep.len() || early_stop {
-                        if self.holding_gate {
-                            self.state = RState::ReleaseGate;
-                        } else {
-                            self.state = self.end_of_pass_state(world);
-                        }
-                        continue;
-                    }
-                    self.cur_instance = self.sweep[self.sweep_pos];
-                    self.state = RState::ConcTried;
-                    return Action::TryLock(self.recv_locks[self.cur_instance]);
-                }
-                RState::ReleaseGate => {
-                    self.holding_gate = false;
-                    self.state = self.end_of_pass_state(world);
-                    return Action::Unlock(self.gate);
-                }
-                RState::BigAcquire => {
-                    self.plan_sweep(world, true);
-                    self.state = RState::BigExtract;
-                    return Action::Lock(self.wiring.big);
-                }
-                RState::BigExtract => {
-                    if self.sweep_pos >= self.sweep.len() {
-                        self.state = RState::BigRelease;
-                        continue;
-                    }
-                    self.cur_instance = self.sweep[self.sweep_pos];
-                    let cost = self.extract_batch(world);
-                    self.state = RState::BigMatch;
-                    return Action::Compute(cost);
-                }
-                RState::BigMatch => {
-                    if self.batch_pos >= self.batch.len() {
-                        self.sweep_pos += 1;
-                        self.state = RState::BigExtract;
-                        continue;
-                    }
-                    let cost = self.match_one(world);
-                    return Action::Compute(cost);
-                }
-                RState::BigRelease => {
-                    self.state = self.end_of_pass_state(world);
-                    return Action::Unlock(self.wiring.big);
                 }
                 RState::IdlePoll => {
                     self.state = RState::IdleYield;
-                    return Action::Compute(self.cost.poll_empty_ns);
+                    return Action::Compute(w.cost.poll_empty_ns);
                 }
                 RState::IdleYield => {
                     self.state = RState::Idle;
-                    return Action::Sleep(self.backoff_ns());
+                    return Action::Sleep(idle_backoff_ns(&mut self.idle_streak));
                 }
             }
         }
@@ -1007,29 +1027,13 @@ impl Actor<MrWorld> for Receiver {
 // Offload worker actors
 // ---------------------------------------------------------------------
 
-fn worker_backoff_ns(idle_streak: &mut u32) -> u64 {
-    let ns = 150u64.saturating_mul(1 << (*idle_streak).min(7));
-    *idle_streak += 1;
-    ns.min(20_000)
-}
-
 enum WsState {
-    /// Refill the local batch from the command queue (or execute it).
+    /// Take the next command from the batch, refill the batch, or finish.
     Drain,
     /// Nothing queued: nap before polling again.
     IdleSleep,
-    /// Take the dedicated instance lock (uncontended: one worker owns it).
-    Acquire,
-    /// Lock held: charge injection.
+    /// Injecting a commanded frame.
     Inject,
-    /// Ship on the wire.
-    Ship,
-    /// Chaos duplicated the frame: post the second copy.
-    ShipDup,
-    /// Chaos dropped the frame: back off, then re-acquire and re-inject.
-    RetryBackoff,
-    /// Release the instance.
-    Release,
 }
 
 /// A dedicated send-side communication thread: batch-drains the command
@@ -1038,145 +1042,57 @@ enum WsState {
 /// contending (with nobody) for `instance[w].send`.
 struct SendWorker {
     instance: usize,
-    pairs: usize,
-    cost: CostModel,
-    wiring: Wiring,
-    send_locks: Arc<[LockId]>,
+    w: Rc<Wiring>,
     state: WsState,
-    batch: VecDeque<u64>,
-    cur_payload: u64,
-    idle_streak: u32,
-    was_idle: bool,
-    /// Retransmit attempts for the in-hand frame (chaos only).
-    attempt: u32,
+    cmds: CmdBatch<u64>,
+    inj: Injector,
 }
 
 impl Actor<MrWorld> for SendWorker {
     fn step(&mut self, _resume: Resume, _now: u64, world: &mut MrWorld) -> Action {
+        let w = &*self.w;
         loop {
             match self.state {
                 WsState::Drain => {
-                    if let Some(p) = self.batch.pop_front() {
-                        self.cur_payload = p;
-                        self.state = WsState::Acquire;
+                    if let Some(frame) = self.cmds.batch.pop_front() {
+                        self.inj.load(frame);
+                        self.state = WsState::Inject;
                         continue;
                     }
-                    let mut popped = 0u64;
-                    while (popped as usize) < DRAIN_BATCH {
-                        match world.cmd_send.pop_front() {
-                            Some(p) => {
-                                self.batch.push_back(p);
-                                popped += 1;
-                            }
-                            None => break,
-                        }
+                    if let Some(drain) = self.cmds.refill(&mut world.cmd_send, &world.spc, w) {
+                        return drain;
                     }
-                    if popped > 0 {
-                        world.spc.inc(Counter::OffloadBatches);
-                        let wake = if self.was_idle {
-                            self.cost.offload_wakeup_ns
-                        } else {
-                            0
-                        };
-                        self.was_idle = false;
-                        self.idle_streak = 0;
-                        return Action::Compute(wake + self.cost.offload_drain_ns * popped);
-                    }
-                    if world.senders_done == self.pairs {
+                    if world.senders_done == w.pairs {
                         return Action::Done;
                     }
-                    self.was_idle = true;
                     self.state = WsState::IdleSleep;
-                    return Action::Compute(self.cost.poll_empty_ns);
+                    return self.cmds.idle(&w.cost);
                 }
                 WsState::IdleSleep => {
                     self.state = WsState::Drain;
-                    return Action::Sleep(worker_backoff_ns(&mut self.idle_streak));
-                }
-                WsState::Acquire => {
-                    self.state = WsState::Inject;
-                    return Action::Lock(self.send_locks[self.instance]);
+                    return self.cmds.nap();
                 }
                 WsState::Inject => {
-                    self.state = WsState::Ship;
-                    return Action::Compute(self.cost.injection_time_ns(0, 28));
-                }
-                WsState::Ship => {
-                    // First injection of a unique message counts as sent;
-                    // retransmits don't.
-                    if self.attempt == 0 {
-                        world.spc.inc(Counter::MessagesSent);
+                    let (action, last) = self.inj.step(world, w, |_| self.instance);
+                    if last {
+                        self.state = WsState::Drain;
                     }
-                    match world.chaos_ship() {
-                        WireVerdict::Drop => {
-                            self.state = WsState::RetryBackoff;
-                            return Action::Unlock(self.send_locks[self.instance]);
-                        }
-                        verdict => {
-                            let delay = self.wiring.wire_latency + world.jitter(self.wiring.jitter);
-                            self.attempt = 0;
-                            self.state = if verdict == WireVerdict::Duplicate {
-                                WsState::ShipDup
-                            } else {
-                                WsState::Release
-                            };
-                            return Action::Post {
-                                mailbox: self.instance,
-                                payload: self.cur_payload,
-                                delay_ns: delay,
-                            };
-                        }
-                    }
-                }
-                WsState::ShipDup => {
-                    let delay = self.wiring.wire_latency + world.jitter(self.wiring.jitter);
-                    self.state = WsState::Release;
-                    return Action::Post {
-                        mailbox: self.instance,
-                        payload: self.cur_payload,
-                        delay_ns: delay,
-                    };
-                }
-                WsState::RetryBackoff => {
-                    let backoff = self.cost.retransmit_timeout_ns << self.attempt.min(6);
-                    self.attempt += 1;
-                    world.spc.inc(Counter::Retransmits);
-                    world.spc.add(Counter::RetryBackoffNanos, backoff);
-                    self.state = WsState::Acquire;
-                    return Action::Sleep(backoff);
-                }
-                WsState::Release => {
-                    self.state = WsState::Drain;
-                    return Action::Unlock(self.send_locks[self.instance]);
+                    return action;
                 }
             }
         }
     }
 }
 
+#[derive(Clone, Copy)]
 enum WrState {
-    /// Drain receive-post commands, or run a progress pass, or finish.
+    /// Post a commanded receive, refill the batch, run a progress pass, or
+    /// finish.
     Top,
-    /// Acquire the match lock to post one commanded receive.
-    PostLock,
-    /// Holding the match lock: post through the real matcher.
-    PostCharge,
-    /// Release the match lock.
-    PostUnlock,
-    /// Result of an instance try-lock during the progress sweep.
-    ConcTried,
-    /// Holding an instance lock: extract a batch.
-    Extract,
-    /// Release the instance, then match the batch.
-    InstanceUnlock,
-    /// Acquire the match lock for the next drained packet.
-    MatchLock,
-    /// Holding the match lock: deliver through the real matcher.
-    MatchCharge,
-    /// Release the match lock, continue the batch.
-    MatchUnlock,
-    /// Batch finished: advance the sweep or end the pass.
-    NextInstance,
+    /// Posting a commanded receive for this receiver.
+    Post(usize),
+    /// Running a progress pass.
+    Pass,
     /// Empty pass: nap before polling again.
     IdleSleep,
 }
@@ -1188,193 +1104,61 @@ enum WrState {
 /// of the sweep exactly like Algorithm 2.
 struct RecvWorker {
     instance: usize,
-    total: u64,
-    cost: CostModel,
-    design: SimDesign,
-    wiring: Wiring,
-    recv_locks: Arc<[LockId]>,
-    match_locks: Arc<[LockId]>,
+    w: Rc<Wiring>,
     state: WrState,
-    cmds: VecDeque<usize>,
-    cur_post: usize,
-    sweep: Vec<usize>,
-    sweep_pos: usize,
-    cur_instance: usize,
-    batch: Vec<u64>,
-    batch_pos: usize,
-    got_this_pass: usize,
-    match_wait_from: u64,
-    idle_streak: u32,
-    was_idle: bool,
-}
-
-impl RecvWorker {
-    fn comm_for(&self, id: usize) -> u32 {
-        match self.design.matching {
-            SimMatchLayout::SingleComm => 0,
-            SimMatchLayout::CommPerPair => id as u32,
-        }
-    }
-
-    fn match_lock_for(&self, comm: u32) -> LockId {
-        match self.design.matching {
-            SimMatchLayout::SingleComm => self.match_locks[0],
-            SimMatchLayout::CommPerPair => self.match_locks[comm as usize],
-        }
-    }
+    cmds: CmdBatch<usize>,
+    section: Section,
+    pass: ProgressPass,
 }
 
 impl Actor<MrWorld> for RecvWorker {
-    fn step(&mut self, resume: Resume, _now: u64, world: &mut MrWorld) -> Action {
+    fn step(&mut self, resume: Resume, now: u64, world: &mut MrWorld) -> Action {
+        let w = &*self.w;
         loop {
             match self.state {
                 WrState::Top => {
-                    if let Some(id) = self.cmds.pop_front() {
-                        self.cur_post = id;
-                        self.state = WrState::PostLock;
+                    if let Some(id) = self.cmds.batch.pop_front() {
+                        self.section = Section::new(w.post_lock(id));
+                        self.state = WrState::Post(id);
                         continue;
                     }
-                    let mut popped = 0u64;
-                    while (popped as usize) < DRAIN_BATCH {
-                        match world.cmd_recv.pop_front() {
-                            Some(id) => {
-                                self.cmds.push_back(id);
-                                popped += 1;
-                            }
-                            None => break,
-                        }
+                    if let Some(drain) = self.cmds.refill(&mut world.cmd_recv, &world.spc, w) {
+                        return drain;
                     }
-                    if popped > 0 {
-                        world.spc.inc(Counter::OffloadBatches);
-                        let wake = if self.was_idle {
-                            self.cost.offload_wakeup_ns
-                        } else {
-                            0
-                        };
-                        self.was_idle = false;
-                        self.idle_streak = 0;
-                        return Action::Compute(wake + self.cost.offload_drain_ns * popped);
-                    }
-                    if world.received >= self.total {
+                    if world.received >= w.per_pair * w.pairs as u64 {
                         return Action::Done;
                     }
                     // Progress pass: dedicated instance first, round-robin
                     // fallback over the others (Algorithm 2).
                     world.spc.inc(Counter::ProgressCalls);
-                    self.sweep.clear();
-                    self.sweep_pos = 0;
-                    self.got_this_pass = 0;
-                    for off in 0..self.wiring.instances {
-                        self.sweep
-                            .push((self.instance + off) % self.wiring.instances);
-                    }
-                    self.cur_instance = self.sweep[0];
-                    self.state = WrState::ConcTried;
-                    return Action::TryLock(self.recv_locks[self.cur_instance]);
+                    let first = self.instance;
+                    self.pass.sweep.plan(None, false, w.instances, || first);
+                    self.pass.begin(false, false);
+                    self.state = WrState::Pass;
                 }
-                WrState::PostLock => {
-                    self.state = WrState::PostCharge;
-                    self.match_wait_from = _now;
-                    return Action::Lock(self.match_lock_for(self.comm_for(self.cur_post)));
-                }
-                WrState::PostCharge => {
-                    let comm = self.comm_for(self.cur_post);
-                    let recv = PostedRecv {
-                        token: self.cur_post as u64,
-                        comm,
-                        src: 0,
-                        tag: if self.design.any_tag {
-                            ANY_TAG
-                        } else {
-                            self.cur_post as i32
-                        },
-                    };
-                    let idx = world.matcher_index(comm);
-                    let (outcome, work) = world.matchers[idx].post_recv(recv);
-                    if let PostOutcome::Matched(_) = outcome {
-                        world.note_received(self.cur_post);
-                    }
-                    let cost = self.cost.match_time_ns(&work);
-                    world.spc.add(
-                        Counter::MatchTimeNanos,
-                        cost + (_now - self.match_wait_from),
-                    );
-                    self.state = WrState::PostUnlock;
-                    return Action::Compute(cost);
-                }
-                WrState::PostUnlock => {
-                    self.state = WrState::Top;
-                    return Action::Unlock(self.match_lock_for(self.comm_for(self.cur_post)));
-                }
-                WrState::ConcTried => {
-                    let Resume::TryLockResult(got) = resume else {
-                        unreachable!("instance resume must carry a try-lock result");
-                    };
-                    if !got {
-                        world.spc.inc(Counter::InstanceTryLockFailures);
-                        self.state = WrState::NextInstance;
-                        continue;
-                    }
-                    self.state = WrState::Extract;
-                }
-                WrState::Extract => {
-                    self.batch_pos = 0;
-                    let cost = world.extract_into(self.cur_instance, &mut self.batch, &self.cost);
-                    self.state = WrState::InstanceUnlock;
-                    return Action::Compute(cost);
-                }
-                WrState::InstanceUnlock => {
-                    self.state = WrState::MatchLock;
-                    return Action::Unlock(self.recv_locks[self.cur_instance]);
-                }
-                WrState::MatchLock => {
-                    if self.batch_pos >= self.batch.len() {
-                        self.state = WrState::NextInstance;
-                        continue;
-                    }
-                    let comm = payload_comm(self.batch[self.batch_pos]);
-                    self.state = WrState::MatchCharge;
-                    self.match_wait_from = _now;
-                    return Action::Lock(self.match_lock_for(comm));
-                }
-                WrState::MatchCharge => {
-                    let payload = self.batch[self.batch_pos];
-                    self.batch_pos += 1;
-                    let (cost, got) = world.match_deliver(payload, &self.cost);
-                    self.got_this_pass += got;
-                    world
-                        .spc
-                        .add(Counter::MatchTimeNanos, _now - self.match_wait_from);
-                    self.state = WrState::MatchUnlock;
-                    return Action::Compute(cost);
-                }
-                WrState::MatchUnlock => {
-                    let comm = payload_comm(self.batch[self.batch_pos - 1]);
-                    self.state = WrState::MatchLock;
-                    return Action::Unlock(self.match_lock_for(comm));
-                }
-                WrState::NextInstance => {
-                    self.sweep_pos += 1;
-                    let early_stop = self.got_this_pass > 0;
-                    if self.sweep_pos >= self.sweep.len() || early_stop {
-                        if self.got_this_pass == 0 {
-                            world.spc.inc(Counter::ProgressWastedPasses);
-                            self.was_idle = true;
-                            self.state = WrState::IdleSleep;
-                            return Action::Compute(self.cost.poll_empty_ns);
-                        }
-                        world.spc.inc(Counter::ProgressUsefulPasses);
-                        self.idle_streak = 0;
+                WrState::Post(id) => {
+                    let (action, last) = self.section.step(now, |waited| world.post(id, w, waited));
+                    if last {
                         self.state = WrState::Top;
-                        continue;
                     }
-                    self.cur_instance = self.sweep[self.sweep_pos];
-                    self.state = WrState::ConcTried;
-                    return Action::TryLock(self.recv_locks[self.cur_instance]);
+                    return action;
+                }
+                WrState::Pass => {
+                    if let Some(action) = self.pass.step(resume, now, world, w) {
+                        return action;
+                    }
+                    if self.pass.got == 0 {
+                        world.spc.inc(Counter::ProgressWastedPasses);
+                        self.state = WrState::IdleSleep;
+                        return self.cmds.idle(&w.cost);
+                    }
+                    world.spc.inc(Counter::ProgressUsefulPasses);
+                    self.cmds.idle_streak = 0;
+                    self.state = WrState::Top;
                 }
                 WrState::IdleSleep => {
                     self.state = WrState::Top;
-                    return Action::Sleep(worker_backoff_ns(&mut self.idle_streak));
+                    return self.cmds.nap();
                 }
             }
         }
@@ -1384,6 +1168,20 @@ impl Actor<MrWorld> for RecvWorker {
 // ---------------------------------------------------------------------
 // Runner
 // ---------------------------------------------------------------------
+
+/// Add `n` locks made by `add`, named for traces by `name(i)`.
+fn add_locks(
+    sim: &mut Sim<MrWorld>,
+    n: usize,
+    add: impl Fn(&mut Sim<MrWorld>) -> LockId,
+    name: impl Fn(usize) -> String,
+) -> Vec<LockId> {
+    let locks: Vec<LockId> = (0..n).map(|_| add(sim)).collect();
+    for (i, &lock) in locks.iter().enumerate() {
+        sim.name_lock(lock, &name(i));
+    }
+    locks
+}
 
 /// Observation plumbing for one run (all fields optional; the default
 /// observes nothing).
@@ -1433,9 +1231,10 @@ impl MultirateSim {
         assert!(self.pairs >= 1 && self.window >= 1 && self.iterations >= 1);
         let mut design = self.design;
         if design.process_mode {
-            // Private resources per pair: one instance and one matching
-            // domain each.
+            // Private resources per pair: one instance (which its thread
+            // always uses) and one matching domain each.
             design.instances = self.pairs;
+            design.assignment = Assignment::Dedicated;
             design.matching = SimMatchLayout::CommPerPair;
         }
         // Offload is a thread-mode design axis: single-threaded processes
@@ -1461,7 +1260,6 @@ impl MultirateSim {
             (0..num_comms).map(|_| SendSequencer::new(1)).collect();
 
         let world = MrWorld {
-            design,
             chaos: (design.chaos_drop_pm > 0 || design.chaos_dup_pm > 0).then(|| ChaosWire {
                 rng: XorShift64::new(design.chaos_seed),
                 drop_pm: design.chaos_drop_pm,
@@ -1499,32 +1297,20 @@ impl MultirateSim {
         let mutex = |sim: &mut Sim<MrWorld>| sim.add_lock_full(70, 16, 3, 2_200);
         let match_mutex = |sim: &mut Sim<MrWorld>| sim.add_lock_full(60, 8, 6, 700);
         let cas = |sim: &mut Sim<MrWorld>| sim.add_lock_with(25, 8);
-        let send_locks: Arc<[LockId]> = (0..instances).map(|_| mutex(&mut sim)).collect();
-        let recv_locks: Arc<[LockId]> = (0..instances).map(|_| mutex(&mut sim)).collect();
-        let match_locks: Arc<[LockId]> = (0..num_comms).map(|_| match_mutex(&mut sim)).collect();
-        let gate = sim.add_lock();
-        let big = mutex(&mut sim);
         let num_pools = if design.process_mode { self.pairs } else { 1 };
-        let send_pools: Arc<[LockId]> = (0..num_pools).map(|_| cas(&mut sim)).collect();
-        let recv_pools: Arc<[LockId]> = (0..num_pools).map(|_| cas(&mut sim)).collect();
-
-        for (i, &l) in send_locks.iter().enumerate() {
-            sim.name_lock(l, &format!("instance[{i}].send"));
-        }
-        for (i, &l) in recv_locks.iter().enumerate() {
-            sim.name_lock(l, &format!("instance[{i}].recv"));
-        }
-        for (i, &l) in match_locks.iter().enumerate() {
-            sim.name_lock(l, &format!("match[{i}]"));
-        }
+        let send_locks = add_locks(&mut sim, instances, mutex, |i| {
+            format!("instance[{i}].send")
+        });
+        let recv_locks = add_locks(&mut sim, instances, mutex, |i| {
+            format!("instance[{i}].recv")
+        });
+        let match_locks = add_locks(&mut sim, num_comms, match_mutex, |i| format!("match[{i}]"));
+        let gate = sim.add_lock();
         sim.name_lock(gate, "progress.gate");
+        let big = mutex(&mut sim);
         sim.name_lock(big, "big_lock");
-        for (i, &l) in send_pools.iter().enumerate() {
-            sim.name_lock(l, &format!("pool.send[{i}]"));
-        }
-        for (i, &l) in recv_pools.iter().enumerate() {
-            sim.name_lock(l, &format!("pool.recv[{i}]"));
-        }
+        let send_pools = add_locks(&mut sim, num_pools, cas, |i| format!("pool.send[{i}]"));
+        let recv_pools = add_locks(&mut sim, num_pools, cas, |i| format!("pool.recv[{i}]"));
 
         let series = series_interval_ns.map(|ns| Rc::new(RefCell::new(SpcSeries::new(ns))));
         if let Some(series) = &series {
@@ -1545,111 +1331,75 @@ impl MultirateSim {
             );
         }
 
-        let wiring = Wiring {
+        let per_pair = (self.window * self.iterations) as u64;
+        let total = per_pair * self.pairs as u64;
+        let w = Rc::new(Wiring {
+            design,
+            cost,
+            pairs: self.pairs,
+            window: self.window as u64,
+            per_pair,
             instances,
-            wire_latency: cost.wire_latency_ns,
-            jitter: cost.delivery_jitter_ns,
+            send_locks,
+            recv_locks,
+            match_locks,
+            gate,
             big,
             send_pools,
             recv_pools,
-        };
-        let per_pair = (self.window * self.iterations) as u64;
+        });
 
         for pair in 0..self.pairs {
-            let comm = match design.matching {
-                SimMatchLayout::SingleComm => 0u32,
-                SimMatchLayout::CommPerPair => pair as u32,
-            };
             sim.add_actor_named(
                 &format!("sender[{pair}]"),
                 Box::new(Sender {
                     pair,
-                    comm,
                     remaining: per_pair,
                     state: SState::Next,
-                    cost,
-                    design,
-                    wiring: wiring.clone(),
-                    send_locks: Arc::clone(&send_locks),
-                    cur_instance: 0,
-                    cur_payload: 0,
-                    attempt: 0,
+                    w: Rc::clone(&w),
+                    pool: Section::default(),
+                    inj: Injector::default(),
                 }),
             );
             sim.add_actor_named(
                 &format!("recv[{pair}]"),
                 Box::new(Receiver {
                     id: pair,
-                    comm,
-                    tag: pair as i32,
-                    window: self.window,
-                    iterations: self.iterations,
-                    cost,
-                    design,
-                    wiring: wiring.clone(),
-                    recv_locks: Arc::clone(&recv_locks),
-                    match_locks: Arc::clone(&match_locks),
-                    gate,
+                    w: Rc::clone(&w),
                     state: RState::Idle,
                     posted: 0,
-                    wait_target: 0,
-                    sweep: Vec::new(),
-                    sweep_pos: 0,
-                    cur_instance: 0,
-                    batch: Vec::with_capacity(DRAIN_BATCH),
-                    batch_pos: 0,
-                    got_this_pass: 0,
-                    holding_gate: false,
-                    match_wait_from: 0,
+                    section: Section::default(),
+                    pass: ProgressPass::default(),
+                    held: None,
                     idle_streak: 0,
                 }),
             );
         }
 
-        for w in 0..design.offload_workers {
+        for worker in 0..design.offload_workers {
             sim.add_actor_named(
-                &format!("offload.send[{w}]"),
+                &format!("offload.send[{worker}]"),
                 Box::new(SendWorker {
-                    instance: w % instances,
-                    pairs: self.pairs,
-                    cost,
-                    wiring: wiring.clone(),
-                    send_locks: Arc::clone(&send_locks),
+                    instance: worker % instances,
+                    w: Rc::clone(&w),
                     state: WsState::Drain,
-                    batch: VecDeque::with_capacity(DRAIN_BATCH),
-                    cur_payload: 0,
-                    idle_streak: 0,
-                    was_idle: false,
-                    attempt: 0,
+                    cmds: CmdBatch::default(),
+                    inj: Injector::default(),
                 }),
             );
             sim.add_actor_named(
-                &format!("offload.recv[{w}]"),
+                &format!("offload.recv[{worker}]"),
                 Box::new(RecvWorker {
-                    instance: w % instances,
-                    total: per_pair * self.pairs as u64,
-                    cost,
-                    design,
-                    wiring: wiring.clone(),
-                    recv_locks: Arc::clone(&recv_locks),
-                    match_locks: Arc::clone(&match_locks),
+                    instance: worker % instances,
+                    w: Rc::clone(&w),
                     state: WrState::Top,
-                    cmds: VecDeque::with_capacity(DRAIN_BATCH),
-                    cur_post: 0,
-                    sweep: Vec::new(),
-                    sweep_pos: 0,
-                    cur_instance: 0,
-                    batch: Vec::with_capacity(DRAIN_BATCH),
-                    batch_pos: 0,
-                    got_this_pass: 0,
-                    match_wait_from: 0,
-                    idle_streak: 0,
-                    was_idle: false,
+                    cmds: CmdBatch::default(),
+                    section: Section::default(),
+                    pass: ProgressPass::default(),
                 }),
             );
         }
 
-        let total = per_pair * self.pairs as u64;
         let max_events = total.saturating_mul(400) + 20_000_000;
         let makespan = sim.run(max_events);
         drop(sim); // release the tick hook's Rc clone
@@ -1708,7 +1458,7 @@ mod tests {
     fn concurrent_senders_produce_out_of_sequence_messages() {
         let mut d = SimDesign::baseline();
         d.instances = 8;
-        d.assignment = SimAssignment::Dedicated;
+        d.assignment = Assignment::Dedicated;
         let r = sim(8, d).run();
         assert_eq!(r.spc[Counter::MessagesReceived], r.total_messages);
         assert!(
@@ -1721,8 +1471,8 @@ mod tests {
     fn comm_per_pair_eliminates_out_of_sequence() {
         let mut d = SimDesign::baseline();
         d.instances = 8;
-        d.assignment = SimAssignment::Dedicated;
-        d.progress = SimProgress::Concurrent;
+        d.assignment = Assignment::Dedicated;
+        d.progress = ProgressMode::Concurrent;
         d.matching = SimMatchLayout::CommPerPair;
         let r = sim(8, d).run();
         assert_eq!(r.spc[Counter::MessagesReceived], r.total_messages);
@@ -1731,7 +1481,7 @@ mod tests {
         let shared = {
             let mut d2 = SimDesign::baseline();
             d2.instances = 8;
-            d2.assignment = SimAssignment::Dedicated;
+            d2.assignment = Assignment::Dedicated;
             sim(8, d2).run()
         };
         assert!(
@@ -1858,8 +1608,8 @@ mod tests {
     fn chaos_drops_are_repaired_and_runs_stay_deterministic() {
         let mut d = SimDesign::baseline().chaos(100, 50, 5);
         d.instances = 2;
-        d.assignment = SimAssignment::Dedicated;
-        d.progress = SimProgress::Concurrent;
+        d.assignment = Assignment::Dedicated;
+        d.progress = ProgressMode::Concurrent;
         let a = sim(4, d).run();
         assert_eq!(
             a.spc[Counter::MessagesReceived],
@@ -1904,8 +1654,8 @@ mod tests {
     #[test]
     fn every_design_combination_terminates() {
         for instances in [1usize, 3] {
-            for assignment in [SimAssignment::RoundRobin, SimAssignment::Dedicated] {
-                for progress in [SimProgress::Serial, SimProgress::Concurrent] {
+            for assignment in [Assignment::RoundRobin, Assignment::Dedicated] {
+                for progress in [ProgressMode::Serial, ProgressMode::Concurrent] {
                     for matching in [SimMatchLayout::SingleComm, SimMatchLayout::CommPerPair] {
                         for allow in [false, true] {
                             let d = SimDesign {

@@ -10,12 +10,14 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
+use fairmpi_cri::Assignment;
+use fairmpi_progress::ProgressMode;
 use fairmpi_spc::{Counter, SpcSet, SpcSnapshot};
 
 use crate::cost::CostModel;
 use crate::engine::{Action, Actor, LockId, Resume, Sim, WorldAccess};
 use crate::machine::Machine;
-use crate::workload::{SimAssignment, SimProgress};
+use crate::workload::{idle_backoff_ns, pick_instance, Sweep};
 
 /// An RMA-MT experiment (one message size).
 #[derive(Debug, Clone)]
@@ -32,9 +34,9 @@ pub struct RmamtSim {
     /// ugni BTL defaults to one per core).
     pub instances: usize,
     /// Instance assignment strategy.
-    pub assignment: SimAssignment,
+    pub assignment: Assignment,
     /// Progress-engine design used while flushing.
-    pub progress: SimProgress,
+    pub progress: ProgressMode,
     /// RNG seed.
     pub seed: u64,
 }
@@ -87,8 +89,6 @@ enum PState {
     Flush,
     /// Serial flush: gate try-lock result.
     GateTried,
-    /// Serial flush: block-lock the next instance.
-    SerialLockInstance,
     /// Concurrent flush: instance try-lock result.
     ConcTried,
     /// Holding an instance: drain a batch of completions.
@@ -110,55 +110,34 @@ struct Putter {
     msg_size: usize,
     state: PState,
     cost: CostModel,
-    assignment: SimAssignment,
-    progress: SimProgress,
+    assignment: Assignment,
+    progress: ProgressMode,
     instances: usize,
     inst_locks: Arc<[LockId]>,
     gate: LockId,
-    wire_latency: u64,
     cur_instance: usize,
-    sweep: Vec<usize>,
-    sweep_pos: usize,
+    sweep: Sweep,
     drained_this_pass: usize,
-    batch: usize,
     holding_gate: bool,
     idle_streak: u32,
 }
 
 impl Putter {
-    fn pick_instance(&mut self, world: &mut RmaWorld) -> usize {
-        match self.assignment {
-            SimAssignment::Dedicated => self.id % self.instances,
-            SimAssignment::RoundRobin => {
-                world.rr += 1;
-                (world.rr - 1) as usize % self.instances
-            }
-        }
-    }
-
     /// Whether this thread's completions can only live on its own
     /// instance (dedicated assignment injects every put there).
     fn flush_is_local(&self) -> bool {
-        matches!(self.assignment, SimAssignment::Dedicated)
+        matches!(self.assignment, Assignment::Dedicated)
     }
 
+    /// Plan a flush pass. A local flush visits only the dedicated instance
+    /// that holds our CQEs.
     fn plan_sweep(&mut self, world: &mut RmaWorld, all: bool) {
-        self.sweep.clear();
-        self.sweep_pos = 0;
         self.drained_this_pass = 0;
-        if self.flush_is_local() {
-            // Local flush: only the dedicated instance holds our CQEs.
-            self.sweep.push(self.id % self.instances);
-            return;
-        }
-        if all {
-            self.sweep.extend(0..self.instances);
-            return;
-        }
-        let first = self.pick_instance(world);
-        for off in 0..self.instances {
-            self.sweep.push((first + off) % self.instances);
-        }
+        let own = self.flush_is_local().then_some(self.id % self.instances);
+        let (assignment, id, instances) = (self.assignment, self.id, self.instances);
+        let first = || pick_instance(assignment, id, instances, &mut world.rr);
+        self.sweep.plan(own, all, instances, first);
+        self.cur_instance = self.sweep.current();
     }
 
     /// Pop completions from the held instance; returns extraction cost.
@@ -173,7 +152,6 @@ impl Putter {
                 None => break,
             }
         }
-        self.batch = n;
         self.drained_this_pass += n;
         world.spc.add(Counter::CompletionsDrained, n as u64);
         self.cost.cqe_drain_ns * n as u64
@@ -190,7 +168,8 @@ impl Actor<RmaWorld> for Putter {
                         continue;
                     }
                     self.remaining -= 1;
-                    self.cur_instance = self.pick_instance(world);
+                    self.cur_instance =
+                        pick_instance(self.assignment, self.id, self.instances, &mut world.rr);
                     self.state = PState::Inject;
                     return Action::Lock(self.inst_locks[self.cur_instance]);
                 }
@@ -207,7 +186,7 @@ impl Actor<RmaWorld> for Putter {
                     return Action::Post {
                         mailbox: self.cur_instance,
                         payload: self.id as u64,
-                        delay_ns: self.wire_latency * 2,
+                        delay_ns: self.cost.wire_latency_ns * 2,
                     };
                 }
                 PState::Release => {
@@ -226,7 +205,6 @@ impl Actor<RmaWorld> for Putter {
                     // progress for one-sided traffic).
                     if self.flush_is_local() {
                         self.plan_sweep(world, false);
-                        self.cur_instance = self.sweep[0];
                         self.state = PState::ConcTried;
                         return Action::TryLock(self.inst_locks[self.cur_instance]);
                     }
@@ -234,13 +212,12 @@ impl Actor<RmaWorld> for Putter {
                     // full sweep is needed — serialized behind the global
                     // gate under serial progress, try-lock based otherwise.
                     match self.progress {
-                        SimProgress::Serial => {
+                        ProgressMode::Serial => {
                             self.state = PState::GateTried;
                             return Action::TryLock(self.gate);
                         }
-                        SimProgress::Concurrent => {
+                        ProgressMode::Concurrent => {
                             self.plan_sweep(world, false);
-                            self.cur_instance = self.sweep[0];
                             self.state = PState::ConcTried;
                             return Action::TryLock(self.inst_locks[self.cur_instance]);
                         }
@@ -254,16 +231,9 @@ impl Actor<RmaWorld> for Putter {
                         self.state = PState::IdlePoll;
                         continue;
                     }
+                    // The gate holder blocks on each instance in turn.
                     self.holding_gate = true;
                     self.plan_sweep(world, true);
-                    self.state = PState::SerialLockInstance;
-                }
-                PState::SerialLockInstance => {
-                    if self.sweep_pos >= self.sweep.len() {
-                        self.state = PState::ReleaseGate;
-                        continue;
-                    }
-                    self.cur_instance = self.sweep[self.sweep_pos];
                     self.state = PState::Drain;
                     return Action::Lock(self.inst_locks[self.cur_instance]);
                 }
@@ -288,9 +258,8 @@ impl Actor<RmaWorld> for Putter {
                     return Action::Unlock(self.inst_locks[self.cur_instance]);
                 }
                 PState::NextInstance => {
-                    self.sweep_pos += 1;
                     let early_stop = !self.holding_gate && self.drained_this_pass > 0;
-                    if self.sweep_pos >= self.sweep.len() || early_stop {
+                    if !self.sweep.advance() || early_stop {
                         if self.holding_gate {
                             self.state = PState::ReleaseGate;
                         } else {
@@ -302,7 +271,7 @@ impl Actor<RmaWorld> for Putter {
                         }
                         continue;
                     }
-                    self.cur_instance = self.sweep[self.sweep_pos];
+                    self.cur_instance = self.sweep.current();
                     if self.holding_gate {
                         self.state = PState::Drain;
                         return Action::Lock(self.inst_locks[self.cur_instance]);
@@ -325,9 +294,7 @@ impl Actor<RmaWorld> for Putter {
                 }
                 PState::IdleYield => {
                     self.state = PState::Flush;
-                    let ns = 150u64.saturating_mul(1 << self.idle_streak.min(7));
-                    self.idle_streak += 1;
-                    return Action::Sleep(ns.min(20_000));
+                    return Action::Sleep(idle_backoff_ns(&mut self.idle_streak));
                 }
             }
         }
@@ -373,12 +340,9 @@ impl RmamtSim {
                 instances,
                 inst_locks: Arc::clone(&inst_locks),
                 gate,
-                wire_latency: cost.wire_latency_ns,
                 cur_instance: 0,
-                sweep: Vec::new(),
-                sweep_pos: 0,
+                sweep: Sweep::default(),
                 drained_this_pass: 0,
-                batch: 0,
                 holding_gate: false,
                 idle_streak: 0,
             }));
@@ -404,7 +368,7 @@ mod tests {
     use super::*;
     use crate::machine::{Machine, MachinePreset};
 
-    fn sim(threads: usize, instances: usize, assignment: SimAssignment) -> RmamtSim {
+    fn sim(threads: usize, instances: usize, assignment: Assignment) -> RmamtSim {
         RmamtSim {
             machine: Machine::preset(MachinePreset::TrinititeHaswell),
             threads,
@@ -412,14 +376,14 @@ mod tests {
             ops_per_thread: 100,
             instances,
             assignment,
-            progress: SimProgress::Serial,
+            progress: ProgressMode::Serial,
             seed: 11,
         }
     }
 
     #[test]
     fn all_puts_complete() {
-        let r = sim(4, 4, SimAssignment::Dedicated).run();
+        let r = sim(4, 4, Assignment::Dedicated).run();
         assert_eq!(r.total_ops, 400);
         assert_eq!(r.spc[Counter::RmaPuts], 400);
         assert_eq!(r.spc[Counter::RmaFlushes], 4);
@@ -427,8 +391,8 @@ mod tests {
 
     #[test]
     fn dedicated_scales_with_threads() {
-        let r1 = sim(1, 32, SimAssignment::Dedicated).run();
-        let r16 = sim(16, 32, SimAssignment::Dedicated).run();
+        let r1 = sim(1, 32, Assignment::Dedicated).run();
+        let r16 = sim(16, 32, Assignment::Dedicated).run();
         assert!(
             r16.msg_rate_per_s > 8.0 * r1.msg_rate_per_s,
             "dedicated should scale: 1 thr {:.0}/s vs 16 thr {:.0}/s",
@@ -439,8 +403,8 @@ mod tests {
 
     #[test]
     fn single_instance_degrades_under_threads() {
-        let r1 = sim(1, 1, SimAssignment::Dedicated).run();
-        let r16 = sim(16, 1, SimAssignment::Dedicated).run();
+        let r1 = sim(1, 1, Assignment::Dedicated).run();
+        let r16 = sim(16, 1, Assignment::Dedicated).run();
         assert!(
             r16.msg_rate_per_s < 1.5 * r1.msg_rate_per_s,
             "one shared instance cannot scale: {:.0}/s vs {:.0}/s",
@@ -451,8 +415,8 @@ mod tests {
 
     #[test]
     fn dedicated_beats_round_robin() {
-        let d = sim(16, 32, SimAssignment::Dedicated).run();
-        let rr = sim(16, 32, SimAssignment::RoundRobin).run();
+        let d = sim(16, 32, Assignment::Dedicated).run();
+        let rr = sim(16, 32, Assignment::RoundRobin).run();
         assert!(
             d.msg_rate_per_s > rr.msg_rate_per_s,
             "dedicated {:.0}/s must beat round-robin {:.0}/s",
@@ -463,7 +427,7 @@ mod tests {
 
     #[test]
     fn large_messages_hit_the_bandwidth_peak() {
-        let mut s = sim(16, 32, SimAssignment::Dedicated);
+        let mut s = sim(16, 32, Assignment::Dedicated);
         s.msg_size = 16 * 1024;
         let r = s.run();
         assert!(
@@ -481,15 +445,15 @@ mod tests {
 
     #[test]
     fn deterministic() {
-        let a = sim(8, 8, SimAssignment::RoundRobin).run();
-        let b = sim(8, 8, SimAssignment::RoundRobin).run();
+        let a = sim(8, 8, Assignment::RoundRobin).run();
+        let b = sim(8, 8, Assignment::RoundRobin).run();
         assert_eq!(a.makespan_ns, b.makespan_ns);
     }
 
     #[test]
     fn aries_context_cap_applies() {
         // Requesting more instances than the Aries hardware limit clamps.
-        let mut s = sim(4, 4096, SimAssignment::Dedicated);
+        let mut s = sim(4, 4096, Assignment::Dedicated);
         s.ops_per_thread = 10;
         let r = s.run();
         assert_eq!(r.spc[Counter::RmaPuts], 40, "still completes");

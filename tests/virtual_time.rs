@@ -2,11 +2,10 @@
 //! invariants the figures rely on, at reduced scale so `cargo test` stays
 //! fast.
 
+use fairmpi::{Assignment, ProgressMode};
 use fairmpi_spc::Counter;
 use fairmpi_vsim::workload::multirate::SimMatchLayout;
-use fairmpi_vsim::{
-    Machine, MachinePreset, MultirateSim, RmamtSim, SimAssignment, SimDesign, SimProgress,
-};
+use fairmpi_vsim::{Machine, MachinePreset, MultirateSim, RmamtSim, SimDesign};
 
 fn multirate(pairs: usize, design: SimDesign) -> fairmpi_vsim::MultirateResult {
     MultirateSim {
@@ -24,7 +23,7 @@ fn multirate(pairs: usize, design: SimDesign) -> fairmpi_vsim::MultirateResult {
 #[test]
 fn fig3a_shape_more_instances_help_serial_progress() {
     let mut one = SimDesign::baseline();
-    one.assignment = SimAssignment::Dedicated;
+    one.assignment = Assignment::Dedicated;
     let mut twenty = one;
     twenty.instances = 20;
     let r1 = multirate(16, one);
@@ -41,9 +40,9 @@ fn fig3a_shape_more_instances_help_serial_progress() {
 fn fig3b_shape_concurrent_progress_does_not_help_alone() {
     let mut serial = SimDesign::baseline();
     serial.instances = 20;
-    serial.assignment = SimAssignment::Dedicated;
+    serial.assignment = Assignment::Dedicated;
     let mut conc = serial;
-    conc.progress = SimProgress::Concurrent;
+    conc.progress = ProgressMode::Concurrent;
     let rs = multirate(16, serial);
     let rc = multirate(16, conc);
     assert!(
@@ -61,8 +60,8 @@ fn fig3b_shape_concurrent_progress_does_not_help_alone() {
 fn fig3c_shape_concurrent_matching_scales() {
     let mut star = SimDesign::baseline();
     star.instances = 20;
-    star.assignment = SimAssignment::Dedicated;
-    star.progress = SimProgress::Concurrent;
+    star.assignment = Assignment::Dedicated;
+    star.progress = ProgressMode::Concurrent;
     star.matching = SimMatchLayout::CommPerPair;
     let r1 = multirate(1, star);
     let r16 = multirate(16, star);
@@ -80,7 +79,7 @@ fn fig3c_shape_concurrent_matching_scales() {
 fn fig4_shape_overtaking_lifts_the_ordered_serial_rate() {
     let mut ordered = SimDesign::baseline();
     ordered.instances = 20;
-    ordered.assignment = SimAssignment::Dedicated;
+    ordered.assignment = Assignment::Dedicated;
     let mut overtaking = ordered;
     overtaking.allow_overtaking = true;
     overtaking.any_tag = true;
@@ -113,7 +112,7 @@ fn fig5_shape_process_mode_dwarfs_big_lock_threads() {
 fn table2_shape_oos_fraction_is_high_when_sharing_a_comm() {
     let mut d = SimDesign::baseline();
     d.instances = 10;
-    d.assignment = SimAssignment::Dedicated;
+    d.assignment = Assignment::Dedicated;
     let r = multirate(16, d);
     assert!(
         r.spc.out_of_sequence_fraction() > 0.5,
@@ -125,7 +124,7 @@ fn table2_shape_oos_fraction_is_high_when_sharing_a_comm() {
 
 #[test]
 fn fig6_shape_holds_at_reduced_scale() {
-    let run = |threads: usize, instances: usize, assignment: SimAssignment| {
+    let run = |threads: usize, instances: usize, assignment: Assignment| {
         RmamtSim {
             machine: Machine::preset(MachinePreset::TrinititeHaswell),
             threads,
@@ -133,15 +132,15 @@ fn fig6_shape_holds_at_reduced_scale() {
             ops_per_thread: 150,
             instances,
             assignment,
-            progress: SimProgress::Serial,
+            progress: ProgressMode::Serial,
             seed: 3,
         }
         .run()
     };
-    let ded1 = run(1, 32, SimAssignment::Dedicated);
-    let ded16 = run(16, 32, SimAssignment::Dedicated);
-    let rr16 = run(16, 32, SimAssignment::RoundRobin);
-    let single16 = run(16, 1, SimAssignment::Dedicated);
+    let ded1 = run(1, 32, Assignment::Dedicated);
+    let ded16 = run(16, 32, Assignment::Dedicated);
+    let rr16 = run(16, 32, Assignment::RoundRobin);
+    let single16 = run(16, 1, Assignment::Dedicated);
     assert!(
         ded16.msg_rate_per_s > 6.0 * ded1.msg_rate_per_s,
         "dedicated scales"
@@ -169,8 +168,8 @@ fn fig7_shape_knl_is_slower_per_thread_but_still_scales() {
             msg_size: 128,
             ops_per_thread: 150,
             instances: inst,
-            assignment: SimAssignment::Dedicated,
-            progress: SimProgress::Serial,
+            assignment: Assignment::Dedicated,
+            progress: ProgressMode::Serial,
             seed: 3,
         }
         .run()
@@ -208,22 +207,57 @@ fn virtual_runs_are_reproducible_across_invocations() {
 
 #[test]
 fn native_and_virtual_backends_agree_on_semantics() {
-    // Same benchmark config through both backends: identical message
-    // totals and a complete delivery on each.
-    use fairmpi::DesignConfig;
+    // One benchmark config per design point through both backends: each
+    // must send and receive every message exactly once, and an
+    // overtaking communicator must never count a message out of sequence.
+    use fairmpi::{DesignConfig, DesignConfigBuilder, LockModel};
     use fairmpi_multirate::{run_native, run_virtual, Mode, MultirateConfig};
-    let cfg = MultirateConfig {
+    use Mode::{Processes, Threads};
+    // (mode, communicator per pair, overtaking + MPI_ANY_TAG, design)
+    let cfg = |mode, comm_per_pair, overtaking, design: DesignConfigBuilder| MultirateConfig {
         pairs: 3,
-        mode: Mode::Threads,
+        mode,
         window: 16,
         iterations: 3,
-        comm_per_pair: true,
-        design: DesignConfig::builder().proposed(3).build().unwrap(),
+        comm_per_pair,
+        any_tag: overtaking,
+        design: design.allow_overtaking(overtaking).build().unwrap(),
         ..MultirateConfig::default()
     };
-    let native = run_native(&cfg);
-    let virt = run_virtual(&cfg, &Machine::preset(MachinePreset::Alembert), 1);
-    assert_eq!(native.total_messages, virt.total_messages);
-    assert_eq!(native.spc[Counter::MessagesReceived], native.total_messages);
-    assert_eq!(virt.spc[Counter::MessagesReceived], virt.total_messages);
+    let default = DesignConfig::builder;
+    let proposed = || default().proposed(3);
+    let big_lock = || default().lock_model(LockModel::GlobalCriticalSection);
+    let offload = || default().offload(2);
+    let cases = [
+        ("default", cfg(Threads, false, false, default())),
+        ("proposed(3)", cfg(Threads, false, false, proposed())),
+        ("comm per pair", cfg(Threads, true, false, proposed())),
+        ("big lock", cfg(Threads, false, false, big_lock())),
+        ("offload(2)", cfg(Threads, true, false, offload())),
+        ("processes", cfg(Processes, false, false, default())),
+        ("overtaking", cfg(Threads, false, true, proposed())),
+    ];
+    for (label, cfg) in cases {
+        let native = run_native(&cfg);
+        let virt = run_virtual(&cfg, &Machine::preset(MachinePreset::Alembert), 1);
+        for (backend, total, spc) in [
+            ("native", native.total_messages, &native.spc),
+            ("virtual", virt.total_messages, &virt.spc),
+        ] {
+            assert_eq!(total, cfg.total_messages(), "{label}: {backend} total");
+            assert_eq!(spc[Counter::MessagesSent], total, "{label}: {backend} sent");
+            assert_eq!(
+                spc[Counter::MessagesReceived],
+                total,
+                "{label}: {backend} received"
+            );
+            if cfg.any_tag {
+                assert_eq!(
+                    spc[Counter::OutOfSequenceMessages],
+                    0,
+                    "{label}: {backend} OOS"
+                );
+            }
+        }
+    }
 }
