@@ -1,9 +1,8 @@
 //! The discrete-event core: virtual clock, cores, locks, actors.
 
+use fairmpi_chaos::Xoshiro256;
 use fairmpi_trace as trace;
 use fairmpi_trace::{NameId, TrackId};
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
@@ -165,7 +164,7 @@ pub struct Sim<W: WorldAccess> {
     free_cores: usize,
     run_queue: VecDeque<(ActorId, Resume)>,
     live_actors: usize,
-    rng: SmallRng,
+    rng: Xoshiro256,
     /// One trace track per actor (INVALID when tracing is disarmed).
     tracks: Vec<TrackId>,
     /// Interned names for scheduler-level slices.
@@ -200,7 +199,7 @@ impl<W: WorldAccess> Sim<W> {
             free_cores: params.cores.max(1),
             run_queue: VecDeque::new(),
             live_actors: 0,
-            rng: SmallRng::seed_from_u64(params.seed),
+            rng: Xoshiro256::seed_from_u64(params.seed),
             tracks: Vec::new(),
             sleep_name: trace::intern("sleep"),
             yield_name: trace::intern("yield"),
@@ -239,7 +238,7 @@ impl<W: WorldAccess> Sim<W> {
         if max_ns == 0 {
             0
         } else {
-            self.rng.gen_range(0..=max_ns)
+            self.rng.below(max_ns + 1)
         }
     }
 
@@ -459,7 +458,7 @@ impl<W: WorldAccess> Sim<W> {
                         if lock.waiters.is_empty() {
                             None
                         } else {
-                            let pick = self.rng.gen_range(0..lock.waiters.len());
+                            let pick = self.rng.below(lock.waiters.len() as u64) as usize;
                             lock.waiters.swap_remove_back(pick)
                         }
                     };

@@ -18,9 +18,7 @@ use std::collections::{HashSet, VecDeque};
 use std::rc::Rc;
 use std::sync::Arc;
 
-use fairmpi_chaos::XorShift64;
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use fairmpi_chaos::{XorShift64, Xoshiro256};
 
 use fairmpi_cri::Assignment;
 use fairmpi_fabric::{Envelope, Packet, ANY_TAG};
@@ -254,7 +252,7 @@ pub(crate) struct MrWorld {
     senders_done: usize,
     rr_send: u64,
     rr_recv: u64,
-    rng: SmallRng,
+    rng: Xoshiro256,
     scratch: Vec<MatchEvent>,
 }
 
@@ -413,7 +411,7 @@ impl Wiring {
     fn wire_delay(&self, world: &mut MrWorld) -> u64 {
         // No draw at all without jitter: the RNG stream stays untouched.
         let max = self.cost.delivery_jitter_ns;
-        let jitter = (max > 0).then(|| world.rng.gen_range(0..=max));
+        let jitter = (max > 0).then(|| world.rng.below(max + 1));
         self.cost.wire_latency_ns + jitter.unwrap_or(0)
     }
 }
@@ -1277,7 +1275,7 @@ impl MultirateSim {
             senders_done: 0,
             rr_send: 0,
             rr_recv: 0,
-            rng: SmallRng::seed_from_u64(self.seed ^ 0x9E37_79B9),
+            rng: Xoshiro256::seed_from_u64(self.seed ^ 0x9E37_79B9),
             scratch: Vec::new(),
         };
 
