@@ -20,9 +20,10 @@ use std::path::PathBuf;
 use std::rc::Rc;
 use std::sync::Arc;
 
-use fairmpi_mpit::{json, prometheus, PvarRegistry, PvarSession, PvarValue};
+use fairmpi_mpit::{prometheus, pvars_value, PvarRegistry, PvarSession, PvarValue};
 use fairmpi_spc::{SpcSet, Watermark};
 use fairmpi_trace as trace;
+use fairmpi_trace::json;
 use fairmpi_vsim::{MultirateSim, RunHooks, SimDesign};
 
 /// Rows of the `--pvars` scrape time-series: (virtual boundary ns, one
@@ -304,7 +305,7 @@ impl Observe {
                     ]),
                 ),
                 ("session_reads".to_string(), json::Value::Obj(session_reads)),
-                ("pvars".to_string(), json::pvars_value(&registry)),
+                ("pvars".to_string(), pvars_value(&registry)),
                 ("series".to_string(), json::Value::Arr(series_rows)),
             ]);
             std::fs::write(path, doc.render()).expect("write pvars json");

@@ -10,7 +10,7 @@
 
 use std::path::{Path, PathBuf};
 
-use fairmpi_mpit::json::{parse, Value};
+use fairmpi_trace::json::{parse, Value};
 
 use crate::Series;
 

@@ -18,8 +18,9 @@
 //! * variable classes `COUNTER`, `TIMER`, `HIGHWATERMARK`, `LOWWATERMARK`
 //!   and a log2-bucket `HISTOGRAM` extension (MPI_T's generic class), fed
 //!   by the watermark/histogram cells of the SPC set;
-//! * text exporters: [`prometheus`] exposition and a [`json`] snapshot,
-//!   both hand-rolled (the build is offline; no serde).
+//! * text exporters: [`prometheus`] exposition, hand-rolled (the build is
+//!   offline), and a JSON snapshot, [`pvars_value`], built on
+//!   `fairmpi_trace::json`, the workspace's one JSON module.
 //!
 //! The deviation from MPI_T proper is deliberate and documented per item:
 //! reads return Rust values instead of filling caller buffers, and
@@ -48,11 +49,10 @@ mod pvar;
 mod registry;
 mod session;
 
-pub mod json;
 pub mod prometheus;
 
 pub use pvar::{MpitError, PvarBind, PvarClass, PvarInfo, PvarValue};
-pub use registry::PvarRegistry;
+pub use registry::{pvars_value, PvarRegistry};
 pub use session::{PvarHandle, PvarSession};
 
 #[cfg(test)]

@@ -3,6 +3,7 @@
 use std::sync::Arc;
 
 use fairmpi_spc::{Counter, Histogram, SpcSet, Watermark};
+use fairmpi_trace::json::Value;
 
 use crate::pvar::{MpitError, PvarBind, PvarClass, PvarInfo, PvarValue};
 
@@ -212,4 +213,41 @@ impl PvarRegistry {
             }
         })
     }
+}
+
+/// Snapshot every pvar's global value as a JSON array value.
+///
+/// Each element carries the full `MPI_T_pvar_get_info` metadata next to
+/// the value, so a dump is self-describing:
+/// `{name, class, bind, readonly, continuous, value}` for scalars, with
+/// `buckets`/`sum`/`count` instead of `value` for histograms.
+pub fn pvars_value(registry: &PvarRegistry) -> Value {
+    let mut items = Vec::with_capacity(registry.num_pvars());
+    for index in 0..registry.num_pvars() {
+        let info = registry.info(index).expect("index in range");
+        let mut fields = vec![
+            ("name".to_string(), Value::from(info.name.clone())),
+            ("class".to_string(), Value::from(info.class.name())),
+            ("bind".to_string(), Value::from(info.bind.name())),
+            ("readonly".to_string(), Value::from(info.readonly)),
+            ("continuous".to_string(), Value::from(info.continuous)),
+        ];
+        match registry.read_raw(index).expect("index in range") {
+            PvarValue::Scalar(v) => fields.push(("value".to_string(), Value::from(v))),
+            PvarValue::Histogram {
+                buckets,
+                sum,
+                count,
+            } => {
+                fields.push((
+                    "buckets".to_string(),
+                    Value::Arr(buckets.iter().map(|b| Value::from(*b)).collect()),
+                ));
+                fields.push(("sum".to_string(), Value::from(sum)));
+                fields.push(("count".to_string(), Value::from(count)));
+            }
+        }
+        items.push(Value::Obj(fields));
+    }
+    Value::Arr(items)
 }

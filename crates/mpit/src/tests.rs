@@ -2,9 +2,10 @@ use std::sync::Arc;
 
 use fairmpi_spc::{Counter, Histogram, SpcSet, Watermark, HISTOGRAM_BUCKETS};
 
-use crate::json;
+use fairmpi_trace::json;
+
 use crate::prometheus;
-use crate::{MpitError, PvarClass, PvarRegistry, PvarSession, PvarValue};
+use crate::{pvars_value, MpitError, PvarClass, PvarRegistry, PvarSession, PvarValue};
 
 fn registry() -> (Arc<SpcSet>, PvarRegistry) {
     let spc = Arc::new(SpcSet::new());
@@ -229,7 +230,7 @@ fn json_snapshot_round_trips_and_matches_spc() {
     let doc = json::Value::Obj(vec![
         ("schema".to_string(), json::Value::from("fairmpi.pvars")),
         ("version".to_string(), json::Value::from(1u64)),
-        ("pvars".to_string(), json::pvars_value(&registry)),
+        ("pvars".to_string(), pvars_value(&registry)),
     ]);
     let text = doc.render();
     let back = json::parse(&text).expect("snapshot must parse");
@@ -268,24 +269,6 @@ fn json_snapshot_round_trips_and_matches_spc() {
     );
 }
 
-#[test]
-fn json_parser_handles_general_documents() {
-    let v =
-        json::parse(r#"{"a": [1, 2.5, -3], "b": {"nested": true}, "s": "x\n\"y\"", "n": null}"#)
-            .unwrap();
-    assert_eq!(v.get("a").unwrap().as_arr().unwrap()[0].as_u64(), Some(1));
-    assert_eq!(v.get("a").unwrap().as_arr().unwrap()[1].as_f64(), Some(2.5));
-    assert_eq!(
-        v.get("b").unwrap().get("nested"),
-        Some(&json::Value::Bool(true))
-    );
-    assert_eq!(v.get("s").unwrap().as_str(), Some("x\n\"y\""));
-    assert_eq!(v.get("n"), Some(&json::Value::Null));
-    assert!(json::parse("{\"unterminated\": ").is_err());
-    assert!(json::parse("[1, 2,]").is_err());
-    assert!(json::parse("{} trailing").is_err());
-}
-
 /// An untouched low watermark stores `u64::MAX` internally as its
 /// fetch_min identity; every externally visible path — raw registry
 /// reads, the JSON dump, the Prometheus page — must translate that
@@ -312,7 +295,7 @@ fn untouched_watermarks_export_zero_not_the_sentinel() {
         "Prometheus page leaked the untouched-lwm sentinel"
     );
     assert!(
-        !json::pvars_value(&registry).render().contains(&sentinel),
+        !pvars_value(&registry).render().contains(&sentinel),
         "JSON dump leaked the untouched-lwm sentinel"
     );
 

@@ -8,7 +8,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use crate::event::{EventKind, NameId};
-use crate::json::escape_into;
+use crate::json::write_str;
 use crate::trace_data::Trace;
 
 /// pid of thread/actor tracks.
@@ -48,21 +48,20 @@ impl Writer {
         self.sep();
         let _ = write!(
             self.out,
-            "{{\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\"name\":\"{what}\",\"args\":{{\"name\":\""
+            "{{\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\"name\":\"{what}\",\"args\":{{\"name\":"
         );
-        escape_into(&mut self.out, name);
-        self.out.push_str("\"}}");
+        write_str(&mut self.out, name);
+        self.out.push_str("}}");
     }
 
     fn event(&mut self, ph: char, pid: u32, tid: u32, ts_ns: u64, name: &str, extra: &str) {
         self.sep();
         let _ = write!(
             self.out,
-            "{{\"ph\":\"{ph}\",\"pid\":{pid},\"tid\":{tid},\"ts\":{},\"name\":\"",
+            "{{\"ph\":\"{ph}\",\"pid\":{pid},\"tid\":{tid},\"ts\":{},\"name\":",
             Self::ts(ts_ns)
         );
-        escape_into(&mut self.out, name);
-        self.out.push('"');
+        write_str(&mut self.out, name);
         self.out.push_str(extra);
         self.out.push('}');
     }
@@ -212,7 +211,7 @@ mod tests {
         let doc = json::parse(&out).expect("exporter must emit valid JSON");
         let events = doc
             .get("traceEvents")
-            .and_then(|e| e.as_array())
+            .and_then(|e| e.as_arr())
             .expect("traceEvents array");
         assert!(!events.is_empty());
         for e in events {

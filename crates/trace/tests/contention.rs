@@ -62,7 +62,7 @@ fn one_cri_run_ranks_the_instance_lock_top() {
     let json = trace::json::parse(&t.to_chrome_json()).expect("chrome export must be valid JSON");
     let events = json
         .get("traceEvents")
-        .and_then(|e| e.as_array())
+        .and_then(|e| e.as_arr())
         .expect("traceEvents array");
     assert!(!events.is_empty());
 
