@@ -16,7 +16,9 @@
 //! * the real [`fairmpi_offload::TicketRing`] MPSC command ring under
 //!   racing producers and a concurrent consumer,
 //! * a miniature of the paper's Algorithm 2 progress loop
-//!   (dedicated-instance drain with round-robin fallback sweep),
+//!   (dedicated-instance drain with round-robin fallback sweep), and the
+//!   real [`fairmpi_progress::ProgressEngine`]'s sweep visiting every
+//!   instance of a real [`fairmpi_cri::CriPool`] once per pass,
 //! * the real [`fairmpi::DedupWindow`] receiver-side duplicate
 //!   suppression under racing deliveries,
 //! * the real [`fairmpi::RequestSlab`] generation rule: a stale completion

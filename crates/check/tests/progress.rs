@@ -1,9 +1,14 @@
 //! Exhaustive interleaving check of the Algorithm 2 progress shape:
 //! dedicated-instance drain first, unconditional round-robin fallback
-//! sweep when the dedicated drain produced nothing.
+//! sweep when the dedicated drain produced nothing. The miniature covers
+//! the shape; the last test runs the real `CriPool` and `ProgressEngine`.
 
 use fairmpi_check::mutants::MiniPool;
 use fairmpi_check::{assert_exhaustive, spawn, yield_now, Checker};
+use fairmpi_cri::{Assignment, CriPool};
+use fairmpi_fabric::{Completion, Envelope, Fabric, FabricConfig, Packet};
+use fairmpi_progress::{ProgressEngine, ProgressHandler, ProgressMode};
+use fairmpi_spc::SpcSet;
 use std::sync::Arc;
 
 /// A completion posted to an instance nobody is dedicated to is still
@@ -66,4 +71,54 @@ fn algorithm2_two_progress_threads_extract_exactly_once() {
         assert_eq!(all, vec![7], "completion extracted exactly once");
     });
     outcome.assert_pass("Algorithm 2 two progress threads");
+}
+
+/// Counts every drained item as one user-visible completion.
+struct CountAll;
+
+impl ProgressHandler for CountAll {
+    fn on_packet(&self, _: Packet) -> usize {
+        1
+    }
+    fn on_completion(&self, _: Completion) -> usize {
+        1
+    }
+}
+
+/// The real engine's fallback sweep visits each instance once per pass,
+/// in every schedule, even while another thread draws from the shared
+/// round-robin counter: a packet stranded on instance 1 is found by the
+/// one pass of the thread dedicated to instance 0. (Drawing the next
+/// instance from the shared counter at every step lets that thread land
+/// on instance 0 twice and miss instance 1.)
+#[test]
+fn real_fallback_sweep_visits_every_instance_once() {
+    let outcome = Checker::new().check(|| {
+        let fabric = Fabric::new(1, 2, FabricConfig::test_default());
+        let pool = Arc::new(CriPool::new(&fabric, 0, 2, Arc::new(SpcSet::new())));
+        assert_eq!(pool.dedicated_id(), 0, "the main thread owns instance 0");
+        // An earlier round-robin send leaves the counter at 2.
+        pool.round_robin_id();
+        let envelope = Envelope {
+            src: 0,
+            dst: 0,
+            comm: 0,
+            tag: 0,
+            seq: 0,
+        };
+        fabric
+            .context(0, 1)
+            .post_rx(Packet::eager(envelope, vec![]));
+        let sender = {
+            let pool = Arc::clone(&pool);
+            spawn(move || {
+                pool.round_robin_id();
+            })
+        };
+        let engine = ProgressEngine::new(Arc::clone(&pool), ProgressMode::Concurrent, 0);
+        let found = engine.progress(Assignment::Dedicated, &CountAll);
+        sender.join();
+        assert_eq!(found, 1, "one pass extracts the stranded packet");
+    });
+    assert_exhaustive(outcome, "real Algorithm 2 fallback sweep");
 }

@@ -136,10 +136,15 @@ impl ProgressEngine {
         if count == 0 {
             // Fallback sweep: guarantee eventual progress of every instance
             // (dedicated threads may be gone; completions may be stranded).
+            // One round-robin draw picks the start; the pass then walks
+            // start, start+1, ... so it visits each instance exactly once
+            // even while other threads advance the shared counter.
             trace::instant("progress.fallback_sweep");
             self.pool.spc().inc(Counter::ProgressFallbackSweeps);
-            for _ in 0..self.pool.len() {
-                let k = self.pool.round_robin_id();
+            let n = self.pool.len();
+            let start = self.pool.round_robin_id();
+            for step in 0..n {
+                let k = (start + step) % n;
                 count += self.drain_one(self.pool.instance(k), handler);
                 if count > 0 {
                     break;
