@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Offline CI gate: build, test, format, lint. Run from the repo root.
-# The only third-party crates (rand, criterion) are local shims under
-# compat/, so everything here works without network access.
+# The workspace has no external crates, so everything here works without
+# network access.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -85,9 +85,11 @@ echo "== degradation: zero-fault identity + regression gate =="
 # virtual time, so fresh runs must be BIT-IDENTICAL to the committed
 # baselines — any drift means the chaos hooks leaked into clean runs.
 cmp results/fig_offload.csv "$smoke_dir/results/fig_offload.csv"
+cmp results/BENCH_fig_offload.json "$smoke_dir/results/BENCH_fig_offload.json"
 (cd "$smoke_dir" && "$bin/fig_degradation" > degradation.log)
 ! grep -q "FAIL" "$smoke_dir/degradation.log"
 cmp results/fig_degradation.csv "$smoke_dir/results/fig_degradation.csv"
+cmp results/BENCH_fig_degradation.json "$smoke_dir/results/BENCH_fig_degradation.json"
 "$bin/fairmpi-report" results/BENCH_fig_degradation.json \
     "$smoke_dir/results/BENCH_fig_degradation.json" --noise 0.05
 

@@ -24,6 +24,10 @@
 //! * [`Trace::contention_report`] — per-lock wait/hold statistics and a
 //!   top-N contended ranking.
 //!
+//! The crate also owns the workspace's one JSON module, [`json`]: the
+//! Chrome export, `fairmpi-mpit`'s pvar dumps and `fairmpi-bench`'s result
+//! files all write and parse through it.
+//!
 //! # Usage
 //!
 //! ```
