@@ -157,6 +157,8 @@ impl Default for SchedParams {
 pub struct Sim<W: WorldAccess> {
     now: u64,
     seq: u64,
+    /// Events run so far.
+    events: u64,
     heap: BinaryHeap<Reverse<(u64, u64, Event)>>,
     actors: Vec<Option<Box<dyn Actor<W>>>>,
     locks: Vec<VLock>,
@@ -192,6 +194,7 @@ impl<W: WorldAccess> Sim<W> {
         Self {
             now: 0,
             seq: 0,
+            events: 0,
             heap: BinaryHeap::new(),
             actors: Vec::new(),
             locks: Vec::new(),
@@ -231,6 +234,12 @@ impl<W: WorldAccess> Sim<W> {
     /// Current virtual time (ns).
     pub fn now(&self) -> u64 {
         self.now
+    }
+
+    /// Number of events run so far (every time the clock was advanced to
+    /// an event).
+    pub fn events(&self) -> u64 {
+        self.events
     }
 
     /// Deterministic jitter in `[0, max_ns]`.
@@ -311,7 +320,6 @@ impl<W: WorldAccess> Sim<W> {
     /// Run until every actor is done (or `max_events` is exceeded, which
     /// indicates a workload bug). Returns the final virtual time.
     pub fn run(&mut self, max_events: u64) -> u64 {
-        let mut events = 0u64;
         loop {
             // Fill free cores from the run queue.
             while self.free_cores > 0 {
@@ -344,9 +352,9 @@ impl<W: WorldAccess> Sim<W> {
                 }
                 self.tick_hooks = hooks;
             }
-            events += 1;
+            self.events += 1;
             assert!(
-                events <= max_events,
+                self.events <= max_events,
                 "exceeded {max_events} events; runaway workload?"
             );
             match ev {

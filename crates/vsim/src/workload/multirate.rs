@@ -171,6 +171,8 @@ pub struct MultirateResult {
     pub total_messages: u64,
     /// Counters (out-of-sequence, match time, ...), receiver side included.
     pub spc: SpcSnapshot,
+    /// Simulator events run (see [`Sim::events`]).
+    pub events: u64,
 }
 
 // ---------------------------------------------------------------------
@@ -1400,12 +1402,14 @@ impl MultirateSim {
 
         let max_events = total.saturating_mul(400) + 20_000_000;
         let makespan = sim.run(max_events);
+        let events = sim.events();
         drop(sim); // release the tick hook's Rc clone
         let result = MultirateResult {
             msg_rate_per_s: total as f64 / (makespan as f64 / 1e9),
             makespan_ns: makespan,
             total_messages: total,
             spc: spc.snapshot(),
+            events,
         };
         let series = series.map(|s| {
             Rc::try_unwrap(s)

@@ -57,6 +57,8 @@ pub struct RmamtResult {
     pub total_ops: u64,
     /// Origin-side counters.
     pub spc: SpcSnapshot,
+    /// Simulator events run (see [`Sim::events`]).
+    pub events: u64,
 }
 
 /// Shared state: per-instance origin completion queues.
@@ -359,6 +361,7 @@ impl RmamtSim {
             makespan_ns: makespan,
             total_ops: total,
             spc: spc.snapshot(),
+            events: sim.events(),
         }
     }
 }

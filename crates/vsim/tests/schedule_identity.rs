@@ -1,11 +1,14 @@
 //! Pins the exact virtual-time schedules of small multirate and RMA-MT
-//! runs: the makespan and every non-zero SPC counter, as literals.
+//! runs: the makespan, the number of simulator events and every non-zero
+//! SPC counter, as literals.
 //!
 //! The workload actors are deterministic state machines, so any refactor
 //! that keeps their `Action` sequences and world/RNG updates unchanged
-//! leaves every number here untouched. A run that moves is either a bug or
-//! a deliberate model change; the latter re-records these literals and
-//! says so in CHANGES.md.
+//! leaves every number here untouched. The event count also pins the
+//! engine itself: a scheduler change that drops or adds a step shows here
+//! even when the schedule it produces does not move. A run that moves is
+//! either a bug or a deliberate model change; the latter re-records these
+//! literals and says so in CHANGES.md.
 
 use fairmpi_cri::Assignment;
 use fairmpi_progress::ProgressMode;
@@ -13,21 +16,28 @@ use fairmpi_spc::SpcSnapshot;
 use fairmpi_vsim::workload::multirate::SimMatchLayout;
 use fairmpi_vsim::{Machine, MachinePreset, MultirateSim, RmamtSim, SimDesign};
 
-/// `(makespan_ns, "name=value ..." for every non-zero counter, in counter
-/// order)`.
-type Pin = (u64, &'static str);
+/// `(makespan_ns, events, "name=value ..." for every non-zero counter, in
+/// counter order)`.
+type Pin = (u64, u64, &'static str);
 
 /// `None` when the run reproduces `pin`, else a message carrying the
 /// observed values in the same form.
-fn mismatch(case: &str, makespan_ns: u64, spc: &SpcSnapshot, pin: Pin) -> Option<String> {
+fn mismatch(
+    case: &str,
+    makespan_ns: u64,
+    events: u64,
+    spc: &SpcSnapshot,
+    pin: Pin,
+) -> Option<String> {
     let counters = spc
         .iter()
         .filter(|&(_, v)| v != 0)
         .map(|(c, v)| format!("{}={v}", c.name()))
         .collect::<Vec<_>>()
         .join(" ");
-    (makespan_ns != pin.0 || counters != pin.1)
-        .then(|| format!("{case}: schedule moved; observed ({makespan_ns}, \"{counters}\")"))
+    (makespan_ns != pin.0 || events != pin.1 || counters != pin.2).then(|| {
+        format!("{case}: schedule moved; observed ({makespan_ns}, {events}, \"{counters}\")")
+    })
 }
 
 fn multirate(case: &str, pairs: usize, design: SimDesign, pin: Pin) {
@@ -41,7 +51,7 @@ fn multirate(case: &str, pairs: usize, design: SimDesign, pin: Pin) {
         cost: None,
     }
     .run();
-    if let Some(msg) = mismatch(case, r.makespan_ns, &r.spc, pin) {
+    if let Some(msg) = mismatch(case, r.makespan_ns, r.events, &r.spc, pin) {
         panic!("{msg}");
     }
 }
@@ -70,6 +80,7 @@ fn baseline() {
     let d = SimDesign::baseline();
     let pin = (
         1080045,
+        8327,
         "messages_sent=384 messages_received=384 out_of_sequence_messages=297 \
             match_time_ns=187709 unexpected_messages=13 expected_messages=371 \
             max_posted_recv_queue_len=95 max_unexpected_queue_len=5 \
@@ -89,6 +100,7 @@ fn round_robin_serial() {
     );
     let pin = (
         341407,
+        5337,
         "messages_sent=384 messages_received=384 out_of_sequence_messages=280 \
             match_time_ns=460642 unexpected_messages=104 expected_messages=280 \
             max_posted_recv_queue_len=96 max_unexpected_queue_len=64 \
@@ -108,6 +120,7 @@ fn round_robin_concurrent() {
     );
     let pin = (
         328856,
+        5123,
         "messages_sent=384 messages_received=384 out_of_sequence_messages=280 \
             match_time_ns=1587140 unexpected_messages=280 expected_messages=104 \
             max_posted_recv_queue_len=96 max_unexpected_queue_len=177 \
@@ -128,6 +141,7 @@ fn dedicated_serial_gate() {
     );
     let pin = (
         300393,
+        5346,
         "messages_sent=384 messages_received=384 out_of_sequence_messages=268 \
             match_time_ns=280997 unexpected_messages=59 expected_messages=325 \
             max_posted_recv_queue_len=96 max_unexpected_queue_len=15 \
@@ -142,6 +156,7 @@ fn cris_star_single_comm() {
     let d = cris_star(SimMatchLayout::SingleComm);
     let pin = (
         329122,
+        5105,
         "messages_sent=384 messages_received=384 out_of_sequence_messages=305 \
             match_time_ns=1628165 unexpected_messages=268 expected_messages=116 \
             max_posted_recv_queue_len=96 max_unexpected_queue_len=170 \
@@ -157,6 +172,7 @@ fn cris_star_comm_per_pair() {
     let d = cris_star(SimMatchLayout::CommPerPair);
     let pin = (
         77037,
+        5219,
         "messages_sent=384 messages_received=384 match_time_ns=100264 \
             unexpected_messages=201 expected_messages=183 max_posted_recv_queue_len=16 \
             max_unexpected_queue_len=17 match_queue_traversals=384 \
@@ -178,6 +194,7 @@ fn overtaking_any_tag() {
     d.any_tag = true;
     let pin = (
         212369,
+        5262,
         "messages_sent=384 messages_received=384 match_time_ns=119295 \
             expected_messages=384 max_posted_recv_queue_len=96 match_queue_traversals=384 \
             overtaken_messages=384 progress_calls=80 completions_drained=384 \
@@ -194,6 +211,7 @@ fn big_lock() {
     };
     let pin = (
         2675216,
+        3164,
         "messages_sent=384 messages_received=384 out_of_sequence_messages=299 \
             match_time_ns=14116550 unexpected_messages=182 expected_messages=202 \
             max_posted_recv_queue_len=71 max_unexpected_queue_len=40 \
@@ -208,6 +226,7 @@ fn process_mode() {
     let d = SimDesign::process_mode();
     let pin = (
         54358,
+        5220,
         "messages_sent=384 messages_received=384 match_time_ns=96768 \
             unexpected_messages=10 expected_messages=374 max_posted_recv_queue_len=16 \
             max_unexpected_queue_len=1 match_queue_traversals=384 progress_calls=101 \
@@ -221,6 +240,7 @@ fn offload() {
     let d = SimDesign::offload(2);
     let pin = (
         196382,
+        6320,
         "messages_sent=512 messages_received=512 out_of_sequence_messages=216 \
             match_time_ns=191941 unexpected_messages=202 expected_messages=310 \
             max_posted_recv_queue_len=16 max_unexpected_queue_len=11 \
@@ -237,6 +257,7 @@ fn offload_chaos() {
     let d = SimDesign::offload(2).chaos(100, 25, 7);
     let pin = (
         325160,
+        8022,
         "messages_sent=512 messages_received=512 out_of_sequence_messages=192 \
             match_time_ns=179281 unexpected_messages=43 expected_messages=469 \
             max_posted_recv_queue_len=16 max_unexpected_queue_len=3 \
@@ -254,6 +275,7 @@ fn cris_star_chaos() {
     let d = cris_star(SimMatchLayout::CommPerPair).chaos(100, 25, 7);
     let pin = (
         130100,
+        7933,
         "messages_sent=384 messages_received=384 out_of_sequence_messages=9 \
             match_time_ns=110456 unexpected_messages=67 expected_messages=317 \
             max_posted_recv_queue_len=16 max_unexpected_queue_len=10 \
@@ -272,7 +294,11 @@ fn rmamt_grid() {
             1,
             Assignment::RoundRobin,
             ProgressMode::Serial,
-            (263040, "rma_puts=384 rma_flushes=6 completions_drained=384"),
+            (
+                263040,
+                1280,
+                "rma_puts=384 rma_flushes=6 completions_drained=384",
+            ),
         ),
         (
             1,
@@ -280,6 +306,7 @@ fn rmamt_grid() {
             ProgressMode::Concurrent,
             (
                 266230,
+                1284,
                 "rma_puts=384 rma_flushes=6 instance_try_lock_failures=36 completions_drained=384",
             ),
         ),
@@ -289,6 +316,7 @@ fn rmamt_grid() {
             ProgressMode::Serial,
             (
                 266230,
+                1284,
                 "rma_puts=384 rma_flushes=6 instance_try_lock_failures=36 completions_drained=384",
             ),
         ),
@@ -298,6 +326,7 @@ fn rmamt_grid() {
             ProgressMode::Concurrent,
             (
                 266230,
+                1284,
                 "rma_puts=384 rma_flushes=6 instance_try_lock_failures=36 completions_drained=384",
             ),
         ),
@@ -305,7 +334,11 @@ fn rmamt_grid() {
             4,
             Assignment::RoundRobin,
             ProgressMode::Serial,
-            (55235, "rma_puts=384 rma_flushes=6 completions_drained=384"),
+            (
+                55235,
+                1278,
+                "rma_puts=384 rma_flushes=6 completions_drained=384",
+            ),
         ),
         (
             4,
@@ -313,6 +346,7 @@ fn rmamt_grid() {
             ProgressMode::Concurrent,
             (
                 40500,
+                1257,
                 "rma_puts=384 rma_flushes=6 instance_try_lock_failures=51 completions_drained=384",
             ),
         ),
@@ -322,6 +356,7 @@ fn rmamt_grid() {
             ProgressMode::Serial,
             (
                 52115,
+                1234,
                 "rma_puts=384 rma_flushes=6 instance_try_lock_failures=10 completions_drained=384",
             ),
         ),
@@ -331,6 +366,7 @@ fn rmamt_grid() {
             ProgressMode::Concurrent,
             (
                 52115,
+                1234,
                 "rma_puts=384 rma_flushes=6 instance_try_lock_failures=10 completions_drained=384",
             ),
         ),
@@ -349,7 +385,7 @@ fn rmamt_grid() {
         }
         .run();
         let case = format!("rmamt {instances} x {assignment:?} x {progress:?}");
-        moved.extend(mismatch(&case, r.makespan_ns, &r.spc, pin));
+        moved.extend(mismatch(&case, r.makespan_ns, r.events, &r.spc, pin));
     }
     assert!(moved.is_empty(), "{}", moved.join("\n"));
 }
