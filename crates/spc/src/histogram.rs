@@ -116,12 +116,15 @@ impl HistogramCell {
     pub fn record(&self, value: u64) {
         self.buckets[bucket_for(value)].fetch_add(1, Ordering::Relaxed);
         // Saturating: a histogram that has absorbed 2^64 ns of samples must
-        // pin at the ceiling, not wrap to a tiny sum.
-        self.sum
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |s| {
-                Some(s.saturating_add(value))
-            })
-            .ok();
+        // pin at the ceiling, not wrap to a tiny sum. A zero sample leaves
+        // the sum as it is, so it skips the compare-and-swap loop.
+        if value != 0 {
+            self.sum
+                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |s| {
+                    Some(s.saturating_add(value))
+                })
+                .ok();
+        }
         self.count.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -231,6 +234,26 @@ mod tests {
         h.record(u64::MAX);
         assert_eq!(h.value().sum, u64::MAX);
         assert_eq!(h.value().count, 2);
+    }
+
+    #[test]
+    fn zero_samples_count_without_moving_the_sum() {
+        let h = HistogramCell::new();
+        h.record(5);
+        h.record(0);
+        h.record(0);
+        let v = h.value();
+        assert_eq!(v.buckets[0], 2);
+        assert_eq!(v.count, 3);
+        assert_eq!(v.sum, 5);
+        // A saturated sum stays saturated through zeros and further samples.
+        h.record(u64::MAX);
+        h.record(0);
+        assert_eq!(h.value().sum, u64::MAX);
+        h.record(1);
+        assert_eq!(h.value().sum, u64::MAX);
+        assert_eq!(h.value().count, 6);
+        assert_eq!(h.value().buckets[0], 3);
     }
 
     #[test]

@@ -91,9 +91,12 @@ impl SpcSet {
         &self.shards[thread_shard()]
     }
 
-    /// Add `delta` to a counter.
+    /// Add `delta` to a counter. Adding 0 touches no shard.
     #[inline]
     pub fn add(&self, counter: Counter, delta: u64) {
+        if delta == 0 {
+            return;
+        }
         self.local().counters[counter.index()].fetch_add(delta, Ordering::Relaxed);
     }
 
@@ -222,6 +225,18 @@ mod tests {
         assert_eq!(spc.get(Counter::MessagesSent), 42);
         // Other counters untouched.
         assert_eq!(spc.get(Counter::MessagesReceived), 0);
+    }
+
+    #[test]
+    fn adding_zero_changes_nothing() {
+        let spc = SpcSet::new();
+        spc.add(Counter::CompletionsDrained, 3);
+        let before = spc.snapshot();
+        for c in Counter::ALL {
+            spc.add(c, 0);
+        }
+        assert_eq!(spc.snapshot(), before);
+        assert_eq!(spc.get(Counter::CompletionsDrained), 3);
     }
 
     #[test]

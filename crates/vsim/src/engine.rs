@@ -106,13 +106,21 @@ struct VLock {
 /// continuations of an actor that kept its core across the event (compute,
 /// uncontended acquisition, try-lock) from wake-ups that must re-acquire a
 /// core (lock grants, yields).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Event {
-    /// Resume an actor: (actor, resume kind, bool payload, owns_core).
-    Resume(ActorId, u8, u8, bool),
+    /// Resume an actor.
+    Resume {
+        actor: ActorId,
+        resume: Resume,
+        owns_core: bool,
+    },
     /// Deliver a posted message.
     Deliver(usize, u64),
 }
+
+/// Low bits of a queue key that hold the event's slot; the sequence number
+/// sits above them.
+const SLOT_BITS: u32 = 24;
 
 /// Timing parameters of the executor itself.
 #[derive(Debug, Clone, Copy)]
@@ -157,9 +165,16 @@ impl Default for SchedParams {
 pub struct Sim<W: WorldAccess> {
     now: u64,
     seq: u64,
-    /// Events run so far.
+    /// Events run so far, queued or inlined.
     events: u64,
-    heap: BinaryHeap<Reverse<(u64, u64, Event)>>,
+    /// The `max_events` bound of the current [`Sim::run`].
+    max_events: u64,
+    /// Pending events as 16-byte `(at, seq << SLOT_BITS | slot)` keys:
+    /// equal times pop in push order.
+    heap: BinaryHeap<Reverse<(u64, u64)>>,
+    /// The events the keys point at, and the slots free for reuse.
+    slots: Vec<Event>,
+    free_slots: Vec<u32>,
     actors: Vec<Option<Box<dyn Actor<W>>>>,
     locks: Vec<VLock>,
     params: SchedParams,
@@ -195,7 +210,10 @@ impl<W: WorldAccess> Sim<W> {
             now: 0,
             seq: 0,
             events: 0,
+            max_events: u64::MAX,
             heap: BinaryHeap::new(),
+            slots: Vec::new(),
+            free_slots: Vec::new(),
             actors: Vec::new(),
             locks: Vec::new(),
             params,
@@ -236,8 +254,8 @@ impl<W: WorldAccess> Sim<W> {
         self.now
     }
 
-    /// Number of events run so far (every time the clock was advanced to
-    /// an event).
+    /// Number of events run so far: every advance of the clock to an
+    /// event, whether the event went through the queue or ran inline.
     pub fn events(&self) -> u64 {
         self.events
     }
@@ -310,7 +328,59 @@ impl<W: WorldAccess> Sim<W> {
 
     fn push_event(&mut self, at: u64, ev: Event) {
         self.seq += 1;
-        self.heap.push(Reverse((at, self.seq, ev)));
+        assert!(self.seq < 1 << (64 - SLOT_BITS), "event sequence overflow");
+        let slot = match self.free_slots.pop() {
+            Some(slot) => {
+                self.slots[slot as usize] = ev;
+                slot as u64
+            }
+            None => {
+                self.slots.push(ev);
+                self.slots.len() as u64 - 1
+            }
+        };
+        assert!(slot < 1 << SLOT_BITS, "too many pending events");
+        self.heap.push(Reverse((at, self.seq << SLOT_BITS | slot)));
+    }
+
+    fn pop_event(&mut self) -> Option<(u64, Event)> {
+        let Reverse((at, key)) = self.heap.pop()?;
+        let slot = (key & ((1 << SLOT_BITS) - 1)) as u32;
+        self.free_slots.push(slot);
+        Some((at, self.slots[slot as usize]))
+    }
+
+    /// Whether an owns-core continuation due at `at` is what `run` would do
+    /// next anyway: the run-queue fill has nothing to start, and every
+    /// queued event is strictly later (one at the same instant was pushed
+    /// earlier, so it goes first).
+    fn runs_next(&self, at: u64) -> bool {
+        (self.run_queue.is_empty() || self.free_cores == 0)
+            && self.heap.peek().is_none_or(|Reverse((t, _))| *t > at)
+    }
+
+    /// Move the clock to the event due at `at`: fire the tick hooks whose
+    /// boundaries it crosses, count the event and enforce `max_events`.
+    fn advance_to(&mut self, at: u64) {
+        debug_assert!(at >= self.now, "time went backwards");
+        self.now = at;
+        trace::set_virtual_now(at);
+        if !self.tick_hooks.is_empty() {
+            let mut hooks = std::mem::take(&mut self.tick_hooks);
+            for hook in &mut hooks {
+                while at >= hook.next_ns {
+                    (hook.f)(hook.next_ns, &mut self.world);
+                    hook.next_ns += hook.interval_ns;
+                }
+            }
+            self.tick_hooks = hooks;
+        }
+        self.events += 1;
+        assert!(
+            self.events <= self.max_events,
+            "exceeded {} events; runaway workload?",
+            self.max_events
+        );
     }
 
     fn scale(&self, ns: u64) -> u64 {
@@ -320,6 +390,7 @@ impl<W: WorldAccess> Sim<W> {
     /// Run until every actor is done (or `max_events` is exceeded, which
     /// indicates a workload bug). Returns the final virtual time.
     pub fn run(&mut self, max_events: u64) -> u64 {
+        self.max_events = max_events;
         loop {
             // Fill free cores from the run queue.
             while self.free_cores > 0 {
@@ -332,66 +403,47 @@ impl<W: WorldAccess> Sim<W> {
             if self.live_actors == 0 {
                 return self.now;
             }
-            let Some(Reverse((at, _, ev))) = self.heap.pop() else {
+            let Some((at, ev)) = self.pop_event() else {
                 panic!(
                     "virtual deadlock at t={} ns: {} live actors, empty event \
                      heap and run queue",
                     self.now, self.live_actors
                 );
             };
-            debug_assert!(at >= self.now, "time went backwards");
-            self.now = at;
-            trace::set_virtual_now(at);
-            if !self.tick_hooks.is_empty() {
-                let mut hooks = std::mem::take(&mut self.tick_hooks);
-                for hook in &mut hooks {
-                    while at >= hook.next_ns {
-                        (hook.f)(hook.next_ns, &mut self.world);
-                        hook.next_ns += hook.interval_ns;
-                    }
-                }
-                self.tick_hooks = hooks;
-            }
-            self.events += 1;
-            assert!(
-                self.events <= max_events,
-                "exceeded {max_events} events; runaway workload?"
-            );
+            self.advance_to(at);
             match ev {
-                Event::Resume(id, kind, flag, owns_core) => {
-                    let resume = match kind {
-                        0 => Resume::Ready,
-                        1 => Resume::LockGranted,
-                        _ => Resume::TryLockResult(flag != 0),
-                    };
+                Event::Resume {
+                    actor,
+                    resume,
+                    owns_core,
+                } => {
                     if owns_core {
                         // Continuation: the actor held its core across the
                         // event (compute burn, acquisition spin).
-                        self.execute(id, resume);
+                        self.execute(actor, resume);
                     } else if self.free_cores > 0 {
                         self.free_cores -= 1;
-                        self.execute(id, resume);
+                        self.execute(actor, resume);
                     } else {
-                        self.run_queue.push_back((id, resume));
+                        self.run_queue.push_back((actor, resume));
                     }
                 }
                 Event::Deliver(mailbox, payload) => {
-                    self.world_deliver(mailbox, payload);
+                    self.world.deliver(mailbox, payload);
                 }
             }
         }
     }
 
-    fn world_deliver(&mut self, mailbox: usize, payload: u64) {
-        self.world.deliver(mailbox, payload);
-    }
-
     /// Run one actor on its core until it blocks, finishes, or schedules a
-    /// future resume.
+    /// future resume. A continuation that [`runs_next`](Self::runs_next)
+    /// skips the queue: the clock advances to it here and the actor steps
+    /// again, exactly as if `run` had popped it.
     fn execute(&mut self, id: ActorId, mut resume: Resume) {
-        // Unlock and Post continue inline at the same virtual instant; a
-        // buggy actor that loops on them would hang or exhaust memory
-        // without ever reaching the event-count guard, so bound the chain.
+        // Unlock, Post and zero-length continuations go on at the same
+        // virtual instant; a buggy actor that loops on them would hang or
+        // exhaust memory without ever reaching the event-count guard, so
+        // bound the chain. Steps that advance the clock reset it.
         let mut inline_steps = 0u32;
         loop {
             inline_steps += 1;
@@ -404,33 +456,34 @@ impl<W: WorldAccess> Sim<W> {
             // Workload code running inside `step` (matching, progress)
             // attributes its spans to this actor's track.
             trace::set_current_track(self.tracks[id]);
-            let mut actor = self.actors[id].take().expect("actor alive");
-            let action = actor.step(resume, self.now, &mut self.world);
-            self.actors[id] = Some(actor);
-            match action {
+            let action = self.actors[id].as_mut().expect("actor alive").step(
+                resume,
+                self.now,
+                &mut self.world,
+            );
+            // Every arm either continues at the same instant, gives up the
+            // core, or yields an owns-core continuation `(at, resume)`.
+            let (at, next) = match action {
                 Action::Compute(ns) => {
                     // The burn occupies the core until it completes.
-                    let at = self.now + self.scale(ns);
-                    self.push_event(at, Event::Resume(id, 0, 0, true));
-                    return;
+                    (self.now + self.scale(ns), Resume::Ready)
                 }
                 Action::Lock(l) => {
                     let lname = self.locks[l].trace_name;
-                    if self.locks[l].held_by.is_none() {
-                        // Uncontended acquisition spins briefly on the core.
-                        let at = self.now + self.scale(self.params.lock_base_ns);
-                        let lock = &mut self.locks[l];
-                        lock.held_by = Some(id);
-                        lock.held_since = at;
-                        trace::lock_acquired_at(self.tracks[id], lname, at, 0);
-                        self.push_event(at, Event::Resume(id, 1, 0, true));
+                    if self.locks[l].held_by.is_some() {
+                        // Block: give up the core, join the wait queue.
+                        self.locks[l].waiters.push_back((id, self.now));
+                        trace::lock_wait_at(self.tracks[id], lname, self.now);
+                        self.free_cores += 1;
                         return;
                     }
-                    // Block: give up the core, join the wait queue.
-                    self.locks[l].waiters.push_back((id, self.now));
-                    trace::lock_wait_at(self.tracks[id], lname, self.now);
-                    self.free_cores += 1;
-                    return;
+                    // Uncontended acquisition spins briefly on the core.
+                    let at = self.now + self.scale(self.params.lock_base_ns);
+                    let lock = &mut self.locks[l];
+                    lock.held_by = Some(id);
+                    lock.held_since = at;
+                    trace::lock_acquired_at(self.tracks[id], lname, at, 0);
+                    (at, Resume::LockGranted)
                 }
                 Action::TryLock(l) => {
                     let lname = self.locks[l].trace_name;
@@ -450,8 +503,7 @@ impl<W: WorldAccess> Sim<W> {
                     } else {
                         trace::try_lock_fail_at(self.tracks[id], lname, at);
                     }
-                    self.push_event(at, Event::Resume(id, 2, ok as u8, true));
-                    return;
+                    (at, Resume::TryLockResult(ok))
                 }
                 Action::Unlock(l) => {
                     let lname = self.locks[l].trace_name;
@@ -490,7 +542,7 @@ impl<W: WorldAccess> Sim<W> {
                             at,
                             at.saturating_sub(wait_since),
                         );
-                        self.push_event(at, Event::Resume(w, 1, 0, false));
+                        self.push_resume(at, w, Resume::LockGranted, false);
                     }
                     // Unlock itself is free; continue on the same core.
                     resume = Resume::Ready;
@@ -514,14 +566,14 @@ impl<W: WorldAccess> Sim<W> {
                     self.free_cores += 1;
                     let at = self.now + self.scale(self.params.yield_penalty_ns);
                     trace::slice_at(self.tracks[id], self.yield_name, self.now, at - self.now);
-                    self.push_event(at, Event::Resume(id, 0, 0, false));
+                    self.push_resume(at, id, Resume::Ready, false);
                     return;
                 }
                 Action::Sleep(ns) => {
                     self.free_cores += 1;
                     let at = self.now + self.scale(ns.max(self.params.yield_penalty_ns));
                     trace::slice_at(self.tracks[id], self.sleep_name, self.now, at - self.now);
-                    self.push_event(at, Event::Resume(id, 0, 0, false));
+                    self.push_resume(at, id, Resume::Ready, false);
                     return;
                 }
                 Action::Done => {
@@ -530,8 +582,28 @@ impl<W: WorldAccess> Sim<W> {
                     self.free_cores += 1;
                     return;
                 }
+            };
+            if !self.runs_next(at) {
+                self.push_resume(at, id, next, true);
+                return;
             }
+            if at > self.now {
+                inline_steps = 0;
+            }
+            self.advance_to(at);
+            resume = next;
         }
+    }
+
+    fn push_resume(&mut self, at: u64, actor: ActorId, resume: Resume, owns_core: bool) {
+        self.push_event(
+            at,
+            Event::Resume {
+                actor,
+                resume,
+                owns_core,
+            },
+        );
     }
 }
 
@@ -639,6 +711,101 @@ mod tests {
             burn: 100,
         }));
         assert_eq!(sim.run(1_000), 200);
+    }
+
+    #[test]
+    fn a_lone_actor_runs_long_compute_chains_inline() {
+        // Every continuation runs next anyway, so none is queued; each
+        // still counts as an event, and advancing time keeps the
+        // same-instant guard from tripping.
+        let mut sim = Sim::new(
+            SchedParams {
+                cores: 1,
+                ..Default::default()
+            },
+            mini(),
+        );
+        sim.add_actor(Box::new(Burner {
+            remaining: 200_000,
+            burn: 1,
+        }));
+        assert_eq!(sim.run(1_000_000), 200_000);
+        assert_eq!(sim.events(), 200_000);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeded 1000 events")]
+    fn runaway_zero_length_computes_hit_the_event_bound() {
+        struct Spinner;
+        impl Actor<MiniWorld> for Spinner {
+            fn step(&mut self, _r: Resume, _now: u64, _w: &mut MiniWorld) -> Action {
+                Action::Compute(0)
+            }
+        }
+        let mut sim = Sim::new(SchedParams::default(), mini());
+        sim.add_actor(Box::new(Spinner));
+        sim.run(1_000);
+    }
+
+    #[test]
+    fn a_continuation_runs_after_an_event_queued_for_the_same_instant() {
+        /// Posts to itself with a 100 ns wire, burns exactly 100 ns, then
+        /// records whether the delivery due at that instant arrived first.
+        struct SelfPoster {
+            state: u8,
+        }
+        impl Actor<MiniWorld> for SelfPoster {
+            fn step(&mut self, _r: Resume, _now: u64, w: &mut MiniWorld) -> Action {
+                self.state += 1;
+                match self.state {
+                    1 => Action::Post {
+                        mailbox: 0,
+                        payload: 7,
+                        delay_ns: 100,
+                    },
+                    2 => Action::Compute(100),
+                    _ => {
+                        let seen = w.mailbox_pop(0).is_some();
+                        w.counter_add(0, seen as i64);
+                        Action::Done
+                    }
+                }
+            }
+        }
+        let mut sim = Sim::new(
+            SchedParams {
+                cores: 1,
+                ..Default::default()
+            },
+            mini(),
+        );
+        sim.add_actor(Box::new(SelfPoster { state: 0 }));
+        assert_eq!(sim.run(1_000), 100);
+        assert_eq!(sim.world.counter(0), 1, "the delivery was pushed first");
+        assert_eq!(sim.events(), 2);
+    }
+
+    #[test]
+    fn tick_hooks_fire_once_per_boundary_crossed_inline() {
+        let mut sim = Sim::new(
+            SchedParams {
+                cores: 1,
+                ..Default::default()
+            },
+            mini(),
+        );
+        sim.add_tick_hook(
+            100,
+            Box::new(|at, w: &mut MiniWorld| w.boxes[1].push_back(at)),
+        );
+        sim.add_actor(Box::new(Burner {
+            remaining: 4,
+            burn: 250,
+        }));
+        assert_eq!(sim.run(1_000), 1_000);
+        assert_eq!(sim.events(), 4);
+        let fired: Vec<u64> = sim.world.boxes[1].iter().copied().collect();
+        assert_eq!(fired, (1..=10).map(|k| k * 100).collect::<Vec<_>>());
     }
 
     /// Locks then computes inside the critical section.
