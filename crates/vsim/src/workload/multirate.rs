@@ -1293,8 +1293,10 @@ impl MultirateSim {
         // (the parked regime) — this is what collapses 20 threads sharing
         // one instance. Matching locks see short bursts (posting windows),
         // so they park later and cheaper. Request pools are atomic LIFOs:
-        // hand-offs are cache-line transfers only.
-        let mutex = |sim: &mut Sim<MrWorld>| sim.add_lock_full(70, 16, 3, 2_200);
+        // hand-offs are cache-line transfers only. The mutexes bounce by the
+        // machine's scheduler profile, so sweeping it moves them.
+        let (bounce_ns, bounce_cap) = (params.lock_bounce_ns, params.lock_bounce_cap);
+        let mutex = |sim: &mut Sim<MrWorld>| sim.add_lock_full(bounce_ns, bounce_cap, 3, 2_200);
         let match_mutex = |sim: &mut Sim<MrWorld>| sim.add_lock_full(60, 8, 6, 700);
         let cas = |sim: &mut Sim<MrWorld>| sim.add_lock_with(25, 8);
         let num_pools = if design.process_mode { self.pairs } else { 1 };
@@ -1453,6 +1455,22 @@ mod tests {
         assert_eq!(
             a.spc[Counter::OutOfSequenceMessages],
             b.spc[Counter::OutOfSequenceMessages]
+        );
+    }
+
+    #[test]
+    fn instance_mutexes_follow_the_machine_bounce_penalty() {
+        // 8 pairs crowd one shared instance: a dearer hand-off per waiter
+        // must cost throughput.
+        let rate = |bounce_ns: u64| {
+            let mut s = sim(8, SimDesign::baseline());
+            s.machine.sched.lock_bounce_ns = bounce_ns;
+            s.run().msg_rate_per_s
+        };
+        let (free, dear) = (rate(0), rate(300));
+        assert!(
+            free > dear,
+            "bounce 0: {free:.0}/s, bounce 300: {dear:.0}/s"
         );
     }
 
