@@ -8,9 +8,9 @@
 //! match times (Table II) therefore come out of the actual data structures.
 //!
 //! Each protocol step is written once, as a sub-machine the actors embed:
-//! [`Section`] (a request-pool visit or a receive post), [`Injector`]
-//! (lock, inject, ship through the chaos wire, retransmit), [`ProgressPass`]
-//! (try-lock, extract, match over a [`Sweep`]) and [`CmdBatch`] (an offload
+//! `Section` (a request-pool visit or a receive post), `Injector` (lock,
+//! inject, ship through the chaos wire, retransmit), `ProgressPass`
+//! (try-lock, extract, match over a `Sweep`) and `CmdBatch` (an offload
 //! worker's command-queue drain).
 
 use std::cell::RefCell;
