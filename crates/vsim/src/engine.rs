@@ -440,10 +440,10 @@ impl<W: WorldAccess> Sim<W> {
     /// skips the queue: the clock advances to it here and the actor steps
     /// again, exactly as if `run` had popped it.
     fn execute(&mut self, id: ActorId, mut resume: Resume) {
-        // Unlock, Post and zero-length continuations go on at the same
-        // virtual instant; a buggy actor that loops on them would hang or
-        // exhaust memory without ever reaching the event-count guard, so
-        // bound the chain. Steps that advance the clock reset it.
+        // Unlock and Post continue inline at the same virtual instant; a
+        // buggy actor that loops on them would hang or exhaust memory
+        // without ever reaching the event-count guard, so bound the chain.
+        // Only steps that leave the clock where it was count toward it.
         let mut inline_steps = 0u32;
         loop {
             inline_steps += 1;
